@@ -43,6 +43,7 @@ from .crofoot_clark import (
     classify_unitary,
     crofoot,
     crofoot_intertwine_check,
+    crofoot_norm_gap,
     disc_automorphism,
     fraction_invertibility_margin,
     functional_calculus,
@@ -71,7 +72,6 @@ from .errors import (
 from .model_space import (
     ModelSpace,
     ModelVector,
-    adaptive_circle_inner,
     circle_grid,
     circle_inner,
     same_space,

@@ -59,12 +59,6 @@ class RationalPair:
         vals = num / den
         return complex(vals[0]) if scalar else vals
 
-    def multiply(self, other: "RationalPair") -> "RationalPair":
-        return RationalPair(
-            npoly.polymul(np.asarray(self.numerator), np.asarray(other.numerator)),
-            npoly.polymul(np.asarray(self.denominator), np.asarray(other.denominator)),
-        )
-
     def denominator_roots(self) -> np.ndarray:
         den = np.asarray(self.denominator)
         if den.size <= 1:

@@ -6,7 +6,13 @@ are the solutions of u = alpha.  Multiplication by
 (1 - |alpha|^2)^{-1/2} (1 - conj(alpha) u) is a unitary map K_{u_alpha} -> K_u
 (the Crofoot transform); it intertwines the generalized shift S_alpha with the
 plain compressed shift on K_{u_alpha} and transports every analytic symbol phi
-to the fraction symbol phi/(1 - alpha conj(u)).
+to the fraction symbol phi/(1 - alpha conj(u)).  Since the analytic operator
+A_phi on K_{u_alpha} is phi(S^{u_alpha}), the fraction operator is phi(S_alpha):
+polynomial fraction symbols are built by Horner's rule on S_alpha, with no
+circle quadrature.  Refined quadrature of a fraction symbol stays only where
+it must be independent of that route or where no closed form exists: the
+conjugate side of crofoot_intertwine_check and the fraction_symbol check of
+the verify battery (oracles), and rational symbol terms in tto.build_tto.
 
 For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
@@ -143,10 +149,11 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     """A_{phi/(1 - alpha conj(u))} for analytic phi and interior alpha.
 
     For phi given as a K_u vector the equivalent standard symbol
-    phi + alpha conj(S C phi) is built exactly; for polynomial coefficients
-    the fraction is compressed on self-refining quadrature grids (its poles,
-    the level set u = alpha and the reflected zeros of u, stay off the circle
-    but can sit close to it).
+    phi + alpha conj(S C phi) is built exactly.  For polynomial coefficients
+    the operator is phi(S_alpha), evaluated by Horner's rule on the generalized
+    shift: the Crofoot transform carries A_phi = phi(S) on K_{u_alpha} to the
+    fraction operator and S to S_alpha.  Any degree is accepted; degrees at or
+    above n give the same operator as their remainder modulo u_alpha.
     """
     alpha = complex(alpha)
     if abs(alpha) >= 1.0 - 1e-12:
@@ -157,9 +164,13 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
         return build_tto(space, SymbolExpr(analytic=phi,
                                            coanalytic=np.conj(alpha) * sc_phi))
     coeffs = _poly_coeffs(phi)
-    return build_refined(
-        space,
-        lambda pts, uv: npoly.polyval(pts, coeffs) / (1.0 - alpha * np.conj(uv)))
+    s_alpha = generalized_shift(space, alpha).mat
+    acc = np.diag(np.full(space.dim, coeffs[-1]))
+    diag = np.diag_indices(space.dim)
+    for c in coeffs[-2::-1]:
+        acc = acc @ s_alpha
+        acc[diag] += c
+    return TTOMatrix(acc, space)
 
 
 def reduce_mod_level_set(space: ModelSpace, phi, alpha) -> np.ndarray:
@@ -190,20 +201,39 @@ class IntertwineReport:
         return max(self.residual_analytic, self.residual_conjugate, self.norm_gap)
 
 
+def _analytic_pair(transform: CrofootTransform, coeffs: np.ndarray):
+    """A^{u_alpha}_phi by quadrature on the source grid, phi(S_alpha) on K_u,
+    the residual scale and the relative gap between their norms."""
+    src = transform.source
+    a_src = build_from_grid_values(src, npoly.polyval(src.grid, coeffs))
+    rhs = build_clark_fraction_tto(transform.target, coeffs, transform.alpha).mat
+    scale = max(spectral_norm(rhs), 1.0)
+    norm_gap = abs(spectral_norm(a_src.mat) - spectral_norm(rhs)) / scale
+    return a_src, rhs, scale, norm_gap
+
+
+def crofoot_norm_gap(transform: CrofootTransform, phi) -> float:
+    """Relative gap between ||A^{u_alpha}_phi|| and ||A^u_{phi/(1 - alpha conj(u))}||.
+
+    The two operators are unitarily equivalent through the Crofoot transform,
+    so their norms agree; this is the ``norm_gap`` of crofoot_intertwine_check
+    without the two intertwining residuals.
+    """
+    return _analytic_pair(transform, _poly_coeffs(phi))[3]
+
+
 def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineReport:
     """Verify T A^{u_alpha}_phi T^* = A^u_{phi/(1 - alpha conj(u))} and its adjoint form.
 
-    The adjoint residual is computed from an independent quadrature of
-    conj(phi)/(1 - conj(alpha) u), not by transposing the first identity, and
-    the norm gap compares the two unitarily equivalent operator norms.
+    The fraction operator is phi(S_alpha).  The adjoint residual is computed
+    from an independent quadrature of conj(phi)/(1 - conj(alpha) u), not by
+    transposing the first identity, and the norm gap compares the two
+    unitarily equivalent operator norms.
     """
     coeffs = _poly_coeffs(phi)
-    src = transform.source
     tgt = transform.target
-    a_src = build_from_grid_values(src, npoly.polyval(src.grid, coeffs))
+    a_src, rhs, scale, norm_gap = _analytic_pair(transform, coeffs)
     lhs = transform.map_to_target(a_src).mat
-    rhs = build_clark_fraction_tto(tgt, coeffs, transform.alpha).mat
-    scale = max(spectral_norm(rhs), 1.0)
     residual_analytic = spectral_norm(lhs - rhs) / scale
     abar = np.conj(transform.alpha)
     rhs_conj = build_refined(
@@ -211,12 +241,17 @@ def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineRepo
         lambda pts, uv: np.conj(npoly.polyval(pts, coeffs)) / (1.0 - abar * uv)).mat
     lhs_conj = transform.map_to_target(a_src.adjoint()).mat
     residual_conjugate = spectral_norm(lhs_conj - rhs_conj) / scale
-    norm_gap = abs(spectral_norm(a_src.mat) - spectral_norm(rhs)) / scale
     return IntertwineReport(residual_analytic, residual_conjugate, norm_gap)
 
 
 def multiplicativity_check(space: ModelSpace, phi, psi, alpha) -> float:
-    """Relative residual of A_{phi/(1-a conj u)} A_{psi/(1-a conj u)} = A_{phi psi/(1-a conj u)}."""
+    """Relative residual of A_{phi/(1-a conj u)} A_{psi/(1-a conj u)} = A_{phi psi/(1-a conj u)}.
+
+    All three operators are built as polynomials in S_alpha, so the residual
+    measures the rounding of Horner's rule and of the matrix products, not a
+    quadrature error.  That the Horner route is the compressed fraction symbol
+    is checked apart, against quadrature, by crofoot_intertwine_check.
+    """
     phi = _poly_coeffs(phi)
     psi = _poly_coeffs(psi)
     a = build_clark_fraction_tto(space, phi, alpha).mat

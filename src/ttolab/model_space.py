@@ -54,20 +54,6 @@ def circle_inner(f_values: np.ndarray, g_values: np.ndarray) -> complex:
         raise GridMismatch(f"grid tables of shapes {f.shape} and {g.shape}")
     return complex(np.sum(f * np.conj(g)) / f.size)
 
-def adaptive_circle_inner(f, g, start_points: int = 256, tol: float = 1e-12) -> complex:
-    """Inner product of two callables on the circle, doubling N until stable."""
-    n = _next_pow2(start_points)
-    grid = circle_grid(n)
-    value = circle_inner(f(grid), g(grid))
-    while n < MAX_QUAD_POINTS:
-        n *= 2
-        grid = circle_grid(n)
-        refined = circle_inner(f(grid), g(grid))
-        if abs(refined - value) < tol:
-            return refined
-        value = refined
-    raise QuadratureError("adaptive circle quadrature failed to stabilize")
-
 
 class ModelSpace:
     """Computational handle for K_u: cached grid, basis table, conjugation.
@@ -147,16 +133,8 @@ class ModelSpace:
     def vector(self, coords) -> "ModelVector":
         return ModelVector(np.asarray(coords, dtype=complex), self)
 
-    def basis_vector(self, k: int) -> "ModelVector":
-        coords = np.zeros(self.dim, dtype=complex)
-        coords[k] = 1.0
-        return self.vector(coords)
-
     def zero_vector(self) -> "ModelVector":
         return self.vector(np.zeros(self.dim, dtype=complex))
-
-    def inner_values(self, f_values, g_values) -> complex:
-        return circle_inner(f_values, g_values)
 
     # -- kernels and conjugation ----------------------------------------------
 

@@ -9,6 +9,8 @@ from ttolab import (
     BlaschkeProduct,
     ModelSpace,
     build_clark_fraction_tto,
+    build_from_grid_values,
+    build_refined,
     clark_data,
     classify_unitary,
     compressed_shift,
@@ -22,6 +24,7 @@ from ttolab import (
     level_set_blaschke,
     multiplicativity_check,
     reduce_mod_level_set,
+    sample_blaschke,
 )
 
 
@@ -102,6 +105,40 @@ def test_fraction_phi_one_is_identity(z2, triple_space):
 def test_fraction_phi_z_is_generalized_shift(z2):
     a = build_clark_fraction_tto(z2, np.array([0.0, 1.0]), 0.3)
     assert np.allclose(a.mat, [[0.0, 0.3], [1.0, 0.0]], atol=1e-12)
+
+
+CLOSED_FORM_ZEROS = {
+    "repeated 0.9 x8": (0.9,) * 8,
+    "repeated 0.5 x16": (0.5,) * 16,
+    "cluster of 12": tuple(0.7 + 0.05 * np.exp(2j * np.pi * k / 12) for k in range(12)),
+    "near circle 0.995": tuple(0.995 * np.exp(2j * np.pi * (k + 0.5) / 8) for k in range(8)),
+    "random 8": sample_blaschke(np.random.default_rng(8), 8).zeros,
+    "random 16": sample_blaschke(np.random.default_rng(16), 16).zeros,
+    "random 64": sample_blaschke(np.random.default_rng(64), 64).zeros,
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_ZEROS)
+def test_fraction_closed_form_matches_quadrature(family):
+    # phi(S_alpha) by Horner against the refined quadrature of the fraction symbol,
+    # at |alpha| = 0.5, at alpha = 0 (plain A_phi) and above the dimension
+    sp = ModelSpace(BlaschkeProduct(CLOSED_FORM_ZEROS[family]))
+    rng = np.random.default_rng(len(family))
+    n = sp.dim
+    cases = [(n - 1, 0.5j), (n - 1, 0.0)]
+    if n <= 16:
+        cases.append((2 * n + 1, -0.4 + 0.3j))
+    for degree, alpha in cases:
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        horner = build_clark_fraction_tto(sp, coeffs, alpha).mat
+        quad = build_refined(
+            sp, lambda pts, uv: np.polynomial.polynomial.polyval(pts, coeffs)
+            / (1.0 - alpha * np.conj(uv))).mat
+        assert np.linalg.norm(horner - quad, 2) <= 1e-10 * np.linalg.norm(quad, 2)
+        if alpha == 0:
+            plain = build_from_grid_values(
+                sp, np.polynomial.polynomial.polyval(sp.grid, coeffs)).mat
+            assert np.linalg.norm(horner - plain, 2) <= 1e-10 * np.linalg.norm(plain, 2)
 
 
 def test_fraction_vector_and_polynomial_routes_agree(triple_space):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ttolab import BlaschkeProduct, ModelSpace, verify_space
+from ttolab import BlaschkeProduct, ModelSpace, crofoot_clark, verify_space
 
 
 def test_verify_passes_on_monomial_space(z2):
@@ -60,3 +60,21 @@ def test_verify_tol_scale_tightens_bounds(z2):
     by_name = {c.name: c for c in report.checks}
     assert by_name["membership_rejects_perturbation"].passed
     assert by_name["algebra_containment"].passed
+
+
+def test_norm_equality_matches_full_intertwine_check(triple_space, monkeypatch):
+    # norm_equality computes only the norm gap; on the same transforms and
+    # polynomials it must equal the norm_gap of the full intertwining check
+    seen = []
+    norm_gap = crofoot_clark.crofoot_norm_gap
+
+    def recording(transform, phi):
+        seen.append((transform, np.array(phi)))
+        return norm_gap(transform, phi)
+
+    monkeypatch.setattr(crofoot_clark, "crofoot_norm_gap", recording)
+    report = verify_space(triple_space, seed=5, trials=20)
+    residual = {c.name: c.max_residual for c in report.checks}["norm_equality"]
+    assert len(seen) == 3 * 2
+    assert residual == max(crofoot_clark.crofoot_intertwine_check(ct, coeffs).norm_gap
+                           for ct, coeffs in seen)
