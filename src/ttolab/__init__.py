@@ -55,7 +55,6 @@ from .crofoot_clark import (
 from .errors import (
     AlphaNotUnimodular,
     AlphaOnCircle,
-    DegenerateLeadingCoefficient,
     GridMismatch,
     NotATTO,
     NumericalFailure,

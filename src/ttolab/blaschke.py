@@ -1,20 +1,25 @@
-"""Finite Blaschke products: evaluation, exact derivatives, preimage solving.
+"""Finite Blaschke products: evaluation, exact derivatives, the shift, preimages.
 
 A finite Blaschke product is u(z) = rotation * prod_k (z - a_k)/(1 - conj(a_k) z)
 with every zero a_k strictly inside the unit disc and |rotation| = 1.  It is the
 canonical inner function with dim(H^2 ominus u H^2) = number of zeros, and all
 model-space machinery downstream is parameterized by one of these.
+
+The compressed shift S and the kernels K_0, Kt_0 of K_u have closed forms in
+the zeros (Garcia & Ross, arXiv:1108.1858), and the solutions of u = alpha are
+the spectrum of S_alpha (Clark, 1972), so u is never expanded into monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import DegenerateLeadingCoefficient, PoleHit, RootSolveError
+from .errors import PoleHit, RootSolveError
 
 EPS_DISC = 1e-12
 POLE_TOL = 1e-14
@@ -149,22 +154,38 @@ class BlaschkeProduct:
         vals = self.rotation * np.sum(terms, axis=-1)
         return complex(vals[0]) if scalar else vals
 
-    def as_rational_pair(self) -> RationalPair:
-        """u as numerator/denominator polynomials, rotation folded into the numerator."""
-        num = self.rotation * npoly.polyfromroots(self._zero_arr)
-        den = np.ones(1, dtype=complex)
-        for a in self.zeros:
-            den = npoly.polymul(den, np.array([1.0, -np.conj(a)], dtype=complex))
-        return RationalPair(tuple(num), tuple(den))
+    @cached_property
+    def shift_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (S, K_0, Kt_0) in Takenaka-Malmquist coordinates, in closed form.
+
+        With w = sqrt(1 - |a|^2): S[j,j] = a_j, S[j,k] = w_j w_k prod_{k<l<j}(-conj a_l)
+        for j > k, K_0[k] = w_k prod_{l<k}(-conj a_l), Kt_0[k] = rotation w_k prod_{l>k}(-a_l).
+        """
+        a = self._zero_arr
+        n = a.size
+        w = np.sqrt(1.0 - np.abs(a) ** 2)
+        c = -np.conj(a)
+        idx = np.arange(n)
+        # factors[l, k] = c_l below the diagonal, else 1: runs[j, k] = prod_{k<l<j} c_l
+        factors = np.where(idx[:, None] > idx[None, :], c[:, None], 1.0)
+        runs = np.cumprod(np.vstack([np.ones((1, n)), factors[:-1]]), axis=0)
+        s = np.tril(w[:, None] * w[None, :] * runs, -1)
+        s[idx, idx] = a
+        k0 = w * np.concatenate(([1.0], np.cumprod(c[:-1])))
+        kt0 = self.rotation * w * np.concatenate((np.cumprod(-a[:0:-1])[::-1], [1.0]))
+        for arr in (s, k0, kt0):
+            arr.setflags(write=False)
+        return s, k0, kt0
 
     def solve_equals(self, alpha) -> np.ndarray:
         """All n solutions of u(z) = alpha for |alpha| <= 1, deterministically ordered.
 
-        Roots come from the companion matrix of rotation*N(z) - alpha*D(z),
-        polished with a few Newton steps, then sorted by ascending principal
-        argument with modulus as tie break.  For |alpha| = 1 the roots are
-        asserted unimodular, for |alpha| < 1 strictly interior, and every root
-        must satisfy |u(root) - alpha| < 1e-9.
+        They are the eigenvalues of S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0
+        built from ``shift_data``, polished by three Newton steps on the product
+        form of u (each kept only where it lowers the residual), and sorted by
+        ascending principal argument with modulus as tie break.  For |alpha| = 1
+        the roots are asserted unimodular to 1e-8, for |alpha| < 1 strictly
+        interior, and every root must satisfy |u(root) - alpha| < 1e-9.
         """
         alpha = complex(alpha)
         if abs(alpha) > 1.0 + 1e-12:
@@ -172,33 +193,25 @@ class BlaschkeProduct:
         if alpha == 0:
             roots = self._zero_arr.copy()
         else:
-            pair = self.as_rational_pair()
-            num = np.zeros(self.degree + 1, dtype=complex)
-            num[: len(pair.numerator)] = pair.numerator
-            den = np.zeros(self.degree + 1, dtype=complex)
-            den[: len(pair.denominator)] = pair.denominator
-            p = num - alpha * den
-            scale = np.max(np.abs(p))
-            if abs(p[-1]) < 1e-14 * scale:
-                raise DegenerateLeadingCoefficient(
-                    "leading coefficient of rotation*N - alpha*D vanished"
-                )
-            roots = np.roots(p[::-1])
-            dp = npoly.polyder(p)
-            for _ in range(3):
-                fz = npoly.polyval(roots, p)
-                fpz = npoly.polyval(roots, dp)
-                ok = np.abs(fpz) > 1e-14 * scale
-                roots = roots - np.where(ok, fz / np.where(ok, fpz, 1.0), 0.0)
-        boundary = abs(abs(alpha) - 1.0) <= 1e-12
-        if boundary:
-            if np.max(np.abs(np.abs(roots) - 1.0)) > 1e-8:
+            s, k0, kt0 = self.shift_data
+            gain = alpha / (1.0 - alpha * np.conj(self.evaluate(0.0)))
+            roots = np.linalg.eigvals(s + gain * np.outer(k0, np.conj(kt0)))
+            res = self.evaluate(roots) - alpha
+            # near a multiple zero u' can underflow: keep only finite steps that help
+            with np.errstate(all="ignore"):
+                for _ in range(3):
+                    trial = roots - res / self.derivative(roots)
+                    trial = np.where(np.isfinite(trial), trial, roots)
+                    trial_res = self.evaluate(trial) - alpha
+                    ok = np.abs(trial_res) < np.abs(res)
+                    roots, res = np.where(ok, trial, roots), np.where(ok, trial_res, res)
+        if abs(abs(alpha) - 1.0) <= 1e-12:
+            if not np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-8:
                 raise RootSolveError("boundary preimages drifted off the unit circle")
-        else:
-            if np.any(np.abs(roots) >= 1.0 + 1e-12):
-                raise RootSolveError("interior preimages escaped the unit disc")
+        elif not np.all(np.abs(roots) < 1.0 + 1e-12):
+            raise RootSolveError("interior preimages escaped the unit disc")
         residual = np.max(np.abs(self.evaluate(roots) - alpha))
-        if residual > 1e-9:
+        if not residual <= 1e-9:
             raise RootSolveError(f"root residual {residual:.3e} exceeds 1e-9")
         order = np.lexsort((np.abs(roots), np.angle(roots)))
         return roots[order]

@@ -9,12 +9,8 @@ class PoleHit(TTOLabError):
     """Evaluation point coincides with a pole of a rational function."""
 
 
-class DegenerateLeadingCoefficient(TTOLabError):
-    """Leading coefficient of a solve polynomial vanished; roots undefined."""
-
-
 class RootSolveError(TTOLabError):
-    """Polynomial roots failed a residual or modulus assertion."""
+    """Solutions of u = alpha failed a residual or modulus assertion."""
 
 
 class QuadratureError(TTOLabError):

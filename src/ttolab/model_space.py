@@ -15,6 +15,7 @@ is doubled at construction until the basis Gram matrix is the identity to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,17 +157,13 @@ class ModelSpace:
             raise SpaceMismatch("vector belongs to a different model space")
         return self.vector(self.conj_matrix @ np.conj(f.coords))
 
-    @property
+    @cached_property
     def k0(self) -> "ModelVector":
-        if "k0" not in self._op_cache:
-            self._op_cache["k0"] = self.kernel(0.0)
-        return self._op_cache["k0"]
+        return self.vector(self.u.shift_data[1])
 
-    @property
+    @cached_property
     def kt0(self) -> "ModelVector":
-        if "kt0" not in self._op_cache:
-            self._op_cache["kt0"] = self.conjugate_kernel(0.0)
-        return self._op_cache["kt0"]
+        return self.vector(self.u.shift_data[2])
 
 
 def same_space(a: ModelSpace, b: ModelSpace) -> bool:

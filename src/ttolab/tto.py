@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .blaschke import RationalPair
 from .errors import NotATTO, PoleOnCircle, QuadratureError, SpaceMismatch
@@ -279,9 +278,9 @@ def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:
 
 
 def compressed_shift(space: ModelSpace) -> TTOMatrix:
-    """A_z, the compression of multiplication by z to K_u (cached per space)."""
+    """A_z on K_u, the closed form of ``BlaschkeProduct.shift_data`` (cached per space)."""
     if "shift" not in space._op_cache:
-        space._op_cache["shift"] = build_from_grid_values(space, space.grid)
+        space._op_cache["shift"] = TTOMatrix(space.u.shift_data[0], space)
     return space._op_cache["shift"]
 
 

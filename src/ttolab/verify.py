@@ -20,11 +20,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import classification, crofoot_clark, sampling
-from .blaschke import RationalPair
 from .errors import TTOLabError
 from .model_space import GRAM_TOL_FLOOR, ModelSpace
 from .tto import (
-    RationalTerm,
     SymbolExpr,
     build_from_grid_values,
     build_refined,
@@ -540,10 +538,7 @@ class _Verifier:
             du = sp.u.derivative(lam)
             worst = max(worst,
                         spectral_norm(op.mat @ op.mat - du * op.mat) / scale ** 2)
-            pair = sp.u.as_rational_pair()
-            den = npoly.polymul(np.asarray(pair.denominator), np.array([-lam, 1.0]))
-            term = RationalTerm(RationalPair(pair.numerator, tuple(den)))
-            direct = build_tto(sp, SymbolExpr(rational_terms=(term,))).mat
+            direct = build_refined(sp, lambda pts, uv: uv / (pts - lam)).mat
             worst = max(worst, spectral_norm(direct - op.mat) / scale)
         return worst, self.trials, "conjugate kernel (x) kernel: symbol u/(z - lam)"
 

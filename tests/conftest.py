@@ -1,7 +1,32 @@
 import numpy as np
 import pytest
 
-from ttolab import BlaschkeProduct, ModelSpace
+from ttolab import BlaschkeProduct, ModelSpace, sample_blaschke
+
+# The hard zero families of the benchmark's hard-spaces workload (repeated,
+# clustered, near-circle, degree 64 and 128), plus a generic degree-16 space.
+STRESS_FAMILIES = {
+    "repeated 0.9 x8": BlaschkeProduct((0.9,) * 8),
+    "repeated 0.5 x16": BlaschkeProduct((0.5,) * 16),
+    "cluster of 12": BlaschkeProduct(
+        tuple(0.7 + 0.05 * np.exp(2j * np.pi * k / 12) for k in range(12))),
+    "near circle 0.995 x8": BlaschkeProduct(
+        tuple(0.995 * np.exp(2j * np.pi * (k + 0.5) / 8) for k in range(8))),
+    "random 64": sample_blaschke(np.random.default_rng(64), 64),
+    "random 128": sample_blaschke(np.random.default_rng(128), 128),
+    "random 16": sample_blaschke(np.random.default_rng(16), 16),
+}
+
+
+def pytest_generate_tests(metafunc):
+    if "stress_family" in metafunc.fixturenames:
+        metafunc.parametrize("stress_family", list(STRESS_FAMILIES))
+
+
+@pytest.fixture(scope="session")
+def stress_spaces():
+    """ModelSpace of each stress family, by name."""
+    return {name: ModelSpace(u) for name, u in STRESS_FAMILIES.items()}
 
 
 @pytest.fixture(scope="session")

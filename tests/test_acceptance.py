@@ -16,6 +16,7 @@ from ttolab import (
     RationalPair,
     RationalTerm,
     SymbolExpr,
+    build_refined,
     build_tto,
     c_symmetry_residual,
     clark_data,
@@ -228,11 +229,8 @@ def test_criterion_08_rank_one_examples():
         sp = ModelSpace(sample_blaschke(rng, int(rng.integers(2, 7))))
         lam = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         mat, tag = rank_one_interior(sp, lam)
-        pair = sp.u.as_rational_pair()
-        den = npoly.polymul(np.asarray(pair.denominator), [-lam, 1.0])
-        sym = SymbolExpr(rational_terms=(
-            RationalTerm(RationalPair(pair.numerator, tuple(den))),))
-        sym_res = np.linalg.norm(build_tto(sp, sym).mat - mat.mat, 2)
+        direct = build_refined(sp, lambda pts, uv: uv / (pts - lam)).mat
+        sym_res = np.linalg.norm(direct - mat.mat, 2)
         type_res = abs(tag.value - sp.u.evaluate(lam))
         worst_sym = max(worst_sym, sym_res)
         worst_type = max(worst_type, type_res)

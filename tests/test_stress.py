@@ -1,0 +1,86 @@
+"""Root solving, Clark data and Crofoot transforms on the stress families.
+
+Each input below used to fail: the roots of u = alpha came from the monomial
+expansion of u and missed their residual or the unit circle.  They are now the
+spectrum of the closed-form S_alpha, so every call must pass its own
+construction checks.
+"""
+
+import functools
+
+import numpy as np
+import numpy.polynomial.polynomial as npoly
+import pytest
+
+from ttolab import clark_data, crofoot, sample_blaschke, verify_space
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("repeated 0.9 x8", 0.5),
+    ("cluster of 12", 1.0),
+])
+def test_solve_equals_on_stress_families(stress_spaces, family, alpha):
+    u = stress_spaces[family].u
+    roots = u.solve_equals(alpha)
+    assert roots.shape == (u.degree,)
+    assert np.max(np.abs(u.evaluate(roots) - alpha)) <= 1e-9
+    if abs(alpha) == 1.0:
+        assert np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("random 64", 1.0),
+    ("repeated 0.5 x16", 1j),
+])
+def test_clark_data_on_stress_families(stress_spaces, family, alpha):
+    sp = stress_spaces[family]
+    data = clark_data(sp, alpha)
+    assert np.max(np.abs(np.abs(data.points) - 1.0)) <= 1e-12
+    assert np.max(np.abs(sp.u.evaluate(data.points) - alpha)) <= 1e-9
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("repeated 0.5 x16", -0.4),
+    ("random 64", 0.5),
+])
+def test_crofoot_on_stress_families(stress_spaces, family, alpha):
+    sp = stress_spaces[family]
+    transform = crofoot(sp, alpha)
+    assert transform.source.dim == sp.dim
+    assert np.linalg.norm(transform.mat.conj().T @ transform.mat - np.eye(sp.dim), 2) <= 1e-9
+
+
+CROFOOT_AND_CLARK = {
+    "crofoot_unitary", "crofoot_shift_intertwine", "crofoot_intertwining",
+    "norm_equality", "clark_points", "clark_orthonormal", "clark_eigen",
+    "clark_mass", "clark_reconstruction", "functional_calculus",
+    "unitary_classification", "rank_one_interior",
+}
+
+
+@pytest.mark.parametrize("family", ["repeated 0.5 x16", "cluster of 12"])
+def test_verify_space_on_stress_families(stress_spaces, family):
+    report = verify_space(stress_spaces[family], seed=0, trials=4)
+    checks = {c.name: c for c in report.checks}
+    assert CROFOOT_AND_CLARK <= set(checks)
+    for name in CROFOOT_AND_CLARK:
+        assert checks[name].passed, (name, checks[name].note)
+    # fraction_reduction still takes the remainder of a monomial expansion
+    assert {c.name for c in report.failures} <= {"fraction_reduction"}
+
+
+def test_solve_equals_matches_monomial_roots():
+    # reference route for small degrees: np.roots of rotation*N - alpha*D
+    rng = np.random.default_rng(6)
+    for degree in range(1, 7):
+        u = sample_blaschke(rng, degree)
+        a = np.asarray(u.zeros)
+        num = u.rotation * npoly.polyfromroots(a)
+        den = functools.reduce(npoly.polymul, ([1.0, -np.conj(z)] for z in a), np.ones(1))
+        for alpha in (0.6 * np.exp(2j * np.pi * rng.uniform()),
+                      np.exp(2j * np.pi * rng.uniform())):
+            reference = np.roots((num - alpha * den)[::-1])
+            roots = u.solve_equals(alpha)
+            gaps = np.abs(roots[:, None] - reference[None, :])
+            assert np.max(np.min(gaps, axis=1)) <= 1e-8
+            assert np.max(np.min(gaps, axis=0)) <= 1e-8

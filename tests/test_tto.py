@@ -269,3 +269,32 @@ def test_values_at_matches_values_on(pair_space):
     direct = sym.values_at(pair_space, pair_space.grid)
     cached = sym.values_on(pair_space)
     assert np.allclose(direct, cached, atol=1e-13)
+
+
+def _quadrature_shift(sp, alpha):
+    # grid compression of z plus the rank-one term, Kt_0 from the quadrature conjugation
+    k0 = sp.kernel(0.0).coords
+    kt0 = sp.conjugate_kernel(0.0).coords
+    gain = alpha / (1.0 - alpha * np.conj(sp.u.evaluate(0.0)))
+    return build_from_grid_values(sp, sp.grid).mat + gain * np.outer(k0, np.conj(kt0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5 + 0.2j, np.exp(0.7j)],
+                         ids=["zero", "interior", "unimodular"])
+def test_closed_form_shift_matches_quadrature(stress_family, stress_spaces, alpha):
+    sp = stress_spaces[stress_family]
+    ref = _quadrature_shift(sp, alpha)
+    scale = np.linalg.norm(ref, 2)
+    built = [generalized_shift(sp, alpha).mat]
+    if alpha == 0:
+        built.append(compressed_shift(sp).mat)
+    for mat in built:
+        assert np.linalg.norm(mat - ref, 2) <= 1e-12 * scale
+
+
+def test_closed_form_shift_defects(stress_family, stress_spaces):
+    # I - S S* = K_0 (x) K_0 and I - S* S = Kt_0 (x) Kt_0 for the closed-form vectors
+    s, k0, kt0 = stress_spaces[stress_family].u.shift_data
+    eye = np.eye(s.shape[0])
+    assert np.linalg.norm(eye - s @ s.conj().T - np.outer(k0, np.conj(k0)), 2) <= 1e-12
+    assert np.linalg.norm(eye - s.conj().T @ s - np.outer(kt0, np.conj(kt0)), 2) <= 1e-12
