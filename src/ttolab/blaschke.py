@@ -177,6 +177,18 @@ class BlaschkeProduct:
             arr.setflags(write=False)
         return s, k0, kt0
 
+    def stein_solve(self, rhs, conjugate: bool = False) -> np.ndarray:
+        """X = sum_k S^k R (S^k)^*, solving X - S X S^* = R; conj(S^k) right if ``conjugate``.
+
+        Doubling from P = S: X += P X P^*, P = P^2.  The tail left out is P X P^*, and
+        ||S|| <= 1 with the spectrum (the zeros) inside the disc, so stop at ||P||_F^2 <= 1e-18.
+        """
+        x, p = np.asarray(rhs, dtype=complex), self.shift_data[0]
+        while np.vdot(p, p).real > 1e-18:
+            x = x + p @ x @ (p.conj() if conjugate else p.conj().T)
+            p = p @ p
+        return x
+
     def solve_equals(self, alpha) -> np.ndarray:
         """All n solutions of u(z) = alpha for |alpha| <= 1, deterministically ordered.
 

@@ -199,15 +199,8 @@ def product_rank2_residual(space: ModelSpace, first: SymbolExpr,
     first = _standardize(space, first)
     second = _standardize(space, second)
     k0 = space.k0
-    zero = space.zero_vector()
-
-    def parts(sym):
-        ana = (sym.analytic or zero) + sym.constant * k0
-        coa = sym.coanalytic or zero
-        return ana, coa
-
-    phi1, phi2 = parts(first)
-    psi1, psi2 = parts(second)
+    phi1, phi2 = first.standard_parts(space)
+    psi1, psi2 = second.standard_parts(space)
     s = compressed_shift(space).mat
     sc_phi2 = space.vector(s @ space.conjugate(phi2).coords)
     sc_psi1 = space.vector(s @ space.conjugate(psi1).coords)

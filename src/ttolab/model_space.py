@@ -5,11 +5,11 @@ are stored as coordinates in the orthonormal Takenaka-Malmquist basis
 
     e_k(z) = sqrt(1 - |a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z - a_j)/(1 - conj(a_j) z),
 
-which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  All integrals
-against the unit circle use the uniform trapezoid rule, whose error decays
-geometrically for rational integrands with poles off the circle; the grid size
-is doubled at construction until the basis Gram matrix is the identity to
-1e-12 (1e-10 is a hard floor).
+which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  Quadrature
+oracles and rational symbols use the uniform trapezoid rule on the circle, whose
+error decays geometrically for rational integrands with poles off the circle;
+the grid size is doubled at construction until the basis Gram matrix is the
+identity to 1e-12 (1e-10 is a hard floor).
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ class ModelSpace:
         self.conj_matrix = self._build_conjugation_matrix()
 
     def _build_conjugation_matrix(self) -> np.ndarray:
-        # (C e_k)(zeta) = u(zeta) * conj(zeta e_k(zeta)) on the circle
-        cvals = self.u_values * np.conj(self.grid * self.basis_values)
-        m = self.basis_values.conj() @ cvals.T / self.quad_points
+        # C S C = S^* and C K_0 = Kt_0 give M - S M conj(S) = K_0 Kt_0^T for C f = M conj(f)
+        _, k0, kt0 = self.u.shift_data
+        m = self.u.stein_solve(np.outer(k0, kt0), conjugate=True)
         sym = float(np.max(np.abs(m - m.T)))
         invol = float(np.max(np.abs(m @ m.conj() - np.eye(self.dim))))
         if sym > 1e-10 or invol > 1e-10:

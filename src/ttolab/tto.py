@@ -2,14 +2,14 @@
 
 A truncated Toeplitz operator on K_u is A_Phi = P_u M_Phi restricted to K_u,
 with Phi a bounded symbol on the circle.  In the orthonormal basis the matrix
-is (A)_{jk} = <Phi e_k, e_j>, computed by circle quadrature.  Every such A is
-characterized by its shift defect: A is a truncated Toeplitz operator iff
+is (A)_{jk} = <Phi e_k, e_j>.  Every such A is characterized by its shift
+defect (Sarason): A is a truncated Toeplitz operator iff
 
     A - S A S^* = phi (x) K_0  +  K_0 (x) psi
 
-for some phi, psi in K_u, in which case A = A_{phi + conj(psi)}.  That defect
-test, its canonical (phi, psi) extraction with psi(0) = 0, and the kernel
-shift identities live here.
+for some phi, psi in K_u, in which case A = A_{phi + conj(psi)}, and build_tto
+solves it for A.  That defect test, its canonical (phi, psi) extraction with
+psi(0) = 0, and the kernel shift identities live here.
 """
 
 from __future__ import annotations
@@ -140,14 +140,22 @@ class SymbolExpr:
             raise ValueError("conjugation of rational symbol terms is not representable")
         return SymbolExpr(self.coanalytic, self.analytic, np.conj(self.constant))
 
+    def standard_parts(self, space: ModelSpace) -> tuple[ModelVector, ModelVector]:
+        """(phi + c K_0, psi) of a standard-form symbol, checked to be finite and in ``space``."""
+        parts = [v for v in (self.analytic, self.coanalytic) if v is not None]
+        if not all(same_space(v.space, space) for v in parts):
+            raise SpaceMismatch("symbol part lives in a different model space")
+        if not (np.isfinite(self.constant) and all(np.isfinite(v.coords).all() for v in parts)):
+            raise ValueError("symbol coefficients must be finite")
+        zero = space.zero_vector()
+        return (self.analytic or zero) + self.constant * space.k0, self.coanalytic or zero
+
     def values_at(self, space: ModelSpace, points: np.ndarray,
-                  u_values: np.ndarray | None = None,
-                  basis_values: np.ndarray | None = None) -> np.ndarray:
-        """Symbol values at arbitrary circle points."""
+                  u_values: np.ndarray) -> np.ndarray:
+        """Symbol values at arbitrary circle points, given the values of u there."""
         points = np.asarray(points, dtype=complex)
         vals = np.full(points.shape, self.constant, dtype=complex)
-        if basis_values is None and (self.analytic is not None
-                                     or self.coanalytic is not None):
+        if self.analytic is not None or self.coanalytic is not None:
             basis_values = space.basis_values_at(points)
         if self.analytic is not None:
             if not same_space(self.analytic.space, space):
@@ -166,15 +174,9 @@ class SymbolExpr:
                 alpha = complex(term.clark_alpha)
                 if abs(alpha) >= 1.0 - 1e-12:
                     raise PoleOnCircle("clark fraction with |alpha| >= 1 has circle poles")
-                if u_values is None:
-                    u_values = space.u.evaluate(points)
                 tv = tv / (1.0 - alpha * np.conj(u_values))
             vals = vals + tv
         return vals
-
-    def values_on(self, space: ModelSpace) -> np.ndarray:
-        """Symbol values on the space's quadrature grid."""
-        return self.values_at(space, space.grid, space.u_values, space.basis_values)
 
     def to_json(self):
         def vec(v):
@@ -271,10 +273,12 @@ def build_refined(space: ModelSpace, values_fn, rel_tol: float = 1e-12) -> TTOMa
 
 
 def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:
+    """A_Phi: Stein sum of (phi + c K_0) (x) K_0 + K_0 (x) psi, or quadrature of rational terms."""
     if symbol.rational_terms:
         return build_refined(space,
                              lambda pts, uv: symbol.values_at(space, pts, uv))
-    return build_from_grid_values(space, symbol.values_on(space))
+    phi, psi = symbol.standard_parts(space)
+    return TTOMatrix(space.u.stein_solve(outer(phi, space.k0) + outer(space.k0, psi)), space)
 
 
 def compressed_shift(space: ModelSpace) -> TTOMatrix:
@@ -388,15 +392,8 @@ def symbols_equivalent(space: ModelSpace, first: SymbolExpr, second: SymbolExpr,
 
 def _structural_equivalence(space, first, second, tol_factor) -> bool:
     k0 = space.k0.coords
-    zero = np.zeros(space.dim, dtype=complex)
-
-    def parts(sym):
-        ana = zero if sym.analytic is None else sym.analytic.coords
-        coa = zero if sym.coanalytic is None else sym.coanalytic.coords
-        return ana + sym.constant * k0, coa
-
-    a1, c1 = parts(first)
-    a2, c2 = parts(second)
+    a1, c1 = (v.coords for v in first.standard_parts(space))
+    a2, c2 = (v.coords for v in second.standard_parts(space))
     d_ana = a1 - a2
     d_coa = c1 - c2
     scale = max(np.linalg.norm(a1) + np.linalg.norm(c1),

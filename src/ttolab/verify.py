@@ -24,7 +24,6 @@ from .errors import TTOLabError
 from .model_space import GRAM_TOL_FLOOR, ModelSpace
 from .tto import (
     SymbolExpr,
-    build_from_grid_values,
     build_refined,
     build_tto,
     c_symmetry_residual,
@@ -433,9 +432,9 @@ class _Verifier:
             if not symbols_equivalent(sp, rep[0], rep[1]):
                 return 1.0, self.trials, "equivalent representations reported distinct"
             p = sampling.sample_polynomial(self.rng, sp.dim - 1)
-            dead = sp.u_values * npoly.polyval(sp.grid, p)
-            worst = max(worst, build_from_grid_values(sp, dead).norm() / scale)
-            worst = max(worst, build_from_grid_values(sp, np.conj(dead)).norm() / scale)
+            # A_{conj f} is the adjoint of A_f: one compression covers u p and conj(u p)
+            dead = build_refined(sp, lambda pts, uv: uv * npoly.polyval(pts, p))
+            worst = max(worst, dead.norm() / scale)
         return worst, self.trials, "constants fold into K_0, u-multiples act as zero"
 
     def check_product_theorem(self):

@@ -1,9 +1,11 @@
-"""Root solving, Clark data and Crofoot transforms on the stress families.
+"""Root solving, Clark data, Crofoot transforms and the operator core on the stress families.
 
-Each input below used to fail: the roots of u = alpha came from the monomial
-expansion of u and missed their residual or the unit circle.  They are now the
-spectrum of the closed-form S_alpha, so every call must pass its own
-construction checks.
+Each input below used to fail.  The roots of u = alpha came from the monomial
+expansion of u and missed their residual or the unit circle; they are now the
+spectrum of the closed-form S_alpha.  Operators and the conjugation came from
+the space's quadrature grid, which under-resolved them on repeated zeros near
+the circle; they are now Stein sums on the closed-form shift.  Every call must
+pass its own construction checks.
 """
 
 import functools
@@ -12,7 +14,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ttolab import clark_data, crofoot, sample_blaschke, verify_space
+from ttolab import (classify_type, clark_data, crofoot, sample_blaschke, sample_typed_tto,
+                    verify_space)
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -84,3 +87,18 @@ def test_solve_equals_matches_monomial_roots():
             gaps = np.abs(roots[:, None] - reference[None, :])
             assert np.max(np.min(gaps, axis=1)) <= 1e-8
             assert np.max(np.min(gaps, axis=0)) <= 1e-8
+
+
+def test_typed_operators_classify_on_repeated_zeros(stress_spaces):
+    # used to classify as "none": the space's N=512 grid under-resolved the symbol
+    sp = stress_spaces["repeated 0.9 x8"]
+    rng = np.random.default_rng(9)
+    for alpha in (0.0, 0.5 + 0.2j):
+        tag = classify_type(sp, sample_typed_tto(sp, rng, alpha))
+        assert tag.kind == "alpha"
+        assert abs(tag.value - alpha) / (1.0 + abs(alpha)) <= 1e-6
+
+
+def test_verify_space_on_repeated_zeros(stress_spaces):
+    report = verify_space(stress_spaces["repeated 0.9 x8"], seed=2, trials=6)
+    assert not report.failures, [(c.name, c.max_residual, c.note) for c in report.failures]

@@ -8,6 +8,7 @@ from ttolab import (
     ModelSpace,
     NotATTO,
     RationalTerm,
+    SpaceMismatch,
     SymbolExpr,
     analytic_symbol,
     build_from_grid_values,
@@ -23,6 +24,7 @@ from ttolab import (
     is_tto,
     kernel_shift_identities,
     outer,
+    sample_symbol,
     symbol_from_json,
     symbols_equivalent,
 )
@@ -258,21 +260,36 @@ def test_dimension_one_space():
     assert compressed_shift(sp).mat[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_values_at_matches_values_on(pair_space):
-    from ttolab import RationalPair
+def test_build_tto_matches_quadrature(stress_family, stress_spaces):
+    sp = stress_spaces[stress_family]
+    sym = sample_symbol(sp, np.random.default_rng(5))
+    ref = build_refined(sp, lambda pts, uv: sym.values_at(sp, pts, uv)).mat
+    built = build_tto(sp, sym).mat
+    assert np.linalg.norm(built - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
 
-    sym = SymbolExpr(
-        analytic=pair_space.vector([1.0, 1j]),
-        constant=2.0,
-        rational_terms=(RationalTerm(RationalPair((1 + 0j,), (1 + 0j,)), clark_alpha=0.5),),
-    )
-    direct = sym.values_at(pair_space, pair_space.grid)
-    cached = sym.values_on(pair_space)
-    assert np.allclose(direct, cached, atol=1e-13)
+
+def test_conjugation_matches_quadrature(stress_family, stress_spaces):
+    # (C e_k)(zeta) = u(zeta) conj(zeta e_k(zeta)), compressed on a grid twice the space's
+    sp = stress_spaces[stress_family]
+    n = 2 * sp.quad_points
+    grid = circle_grid(n)
+    basis = sp.basis_values_at(grid)
+    cvals = sp.u.evaluate(grid) * np.conj(grid * basis)
+    ref = basis.conj() @ cvals.T / n
+    assert np.linalg.norm(sp.conj_matrix - ref, 2) <= 1e-12
+
+
+def test_build_tto_rejects_bad_symbol_parts(pair_space, z2):
+    with pytest.raises(ValueError):
+        build_tto(pair_space, SymbolExpr(analytic=pair_space.vector([1.0, np.nan])))
+    with pytest.raises(ValueError):
+        build_tto(pair_space, SymbolExpr(constant=complex(np.inf, 0.0)))
+    with pytest.raises(SpaceMismatch):
+        build_tto(pair_space, SymbolExpr(coanalytic=z2.vector([1.0, 0.0])))
 
 
 def _quadrature_shift(sp, alpha):
-    # grid compression of z plus the rank-one term, Kt_0 from the quadrature conjugation
+    # grid compression of z plus the rank-one term, Kt_0 as the conjugation of K_0
     k0 = sp.kernel(0.0).coords
     kt0 = sp.conjugate_kernel(0.0).coords
     gain = alpha / (1.0 - alpha * np.conj(sp.u.evaluate(0.0)))
