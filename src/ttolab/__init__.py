@@ -55,7 +55,6 @@ from .crofoot_clark import (
 from .errors import (
     AlphaNotUnimodular,
     AlphaOnCircle,
-    GridMismatch,
     NotATTO,
     NumericalFailure,
     OutsideClosedDisc,
@@ -72,7 +71,6 @@ from .model_space import (
     ModelSpace,
     ModelVector,
     circle_grid,
-    circle_inner,
     same_space,
 )
 from .sampling import (

@@ -8,6 +8,7 @@ model-space machinery downstream is parameterized by one of these.
 The compressed shift S and the kernels K_0, Kt_0 of K_u have closed forms in
 the zeros (Garcia & Ross, arXiv:1108.1858), and the solutions of u = alpha are
 the spectrum of S_alpha (Clark, 1972), so u is never expanded into monomials.
+Operators built on the shift solve a two-sided Stein equation X - A X B = R.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ class RationalPair:
         num = [complex(p[0], p[1]) for p in obj["numerator"]]
         den = [complex(p[0], p[1]) for p in obj["denominator"]]
         return cls(tuple(num), tuple(den))
+
+
+def stein_solve(a, b, rhs) -> np.ndarray:
+    """X = sum_k A^k R B^k, the solution of X - A X B = R.
+
+    Doubling: X += A X B, then A = A^2 and B = B^2, so pass j adds the terms
+    2^j <= k < 2^{j+1}.  Callers pass compressed shifts, their adjoints and
+    conjugates, and S_alpha (|alpha| < 1, unitarily equivalent to a compressed
+    shift): powers bounded by 1 that decay with the zeros inside the disc.  The
+    tail left out is A X B, so stop at ||A||_F^2 ||B||_F^2 <= 1e-36.
+    """
+    x = np.asarray(rhs, dtype=complex)
+    while np.vdot(a, a).real * np.vdot(b, b).real > 1e-36:
+        x = x + a @ x @ b
+        a, b = a @ a, b @ b
+    return x
 
 
 @dataclass(frozen=True)
@@ -176,18 +193,6 @@ class BlaschkeProduct:
         for arr in (s, k0, kt0):
             arr.setflags(write=False)
         return s, k0, kt0
-
-    def stein_solve(self, rhs, conjugate: bool = False) -> np.ndarray:
-        """X = sum_k S^k R (S^k)^*, solving X - S X S^* = R; conj(S^k) right if ``conjugate``.
-
-        Doubling from P = S: X += P X P^*, P = P^2.  The tail left out is P X P^*, and
-        ||S|| <= 1 with the spectrum (the zeros) inside the disc, so stop at ||P||_F^2 <= 1e-18.
-        """
-        x, p = np.asarray(rhs, dtype=complex), self.shift_data[0]
-        while np.vdot(p, p).real > 1e-18:
-            x = x + p @ x @ (p.conj() if conjugate else p.conj().T)
-            p = p @ p
-        return x
 
     def solve_equals(self, alpha) -> np.ndarray:
         """All n solutions of u(z) = alpha for |alpha| <= 1, deterministically ordered.

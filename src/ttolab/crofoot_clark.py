@@ -3,16 +3,19 @@
 For |alpha| < 1 the disc automorphism tau_alpha(w) = (w - alpha)/(1 - conj(alpha) w)
 turns u into another finite Blaschke product u_alpha = tau_alpha(u) whose zeros
 are the solutions of u = alpha.  Multiplication by
-(1 - |alpha|^2)^{-1/2} (1 - conj(alpha) u) is a unitary map K_{u_alpha} -> K_u
-(the Crofoot transform); it intertwines the generalized shift S_alpha with the
-plain compressed shift on K_{u_alpha} and transports every analytic symbol phi
-to the fraction symbol phi/(1 - alpha conj(u)).  Since the analytic operator
-A_phi on K_{u_alpha} is phi(S^{u_alpha}), the fraction operator is phi(S_alpha):
-polynomial fraction symbols are built by Horner's rule on S_alpha, with no
-circle quadrature.  Refined quadrature of a fraction symbol stays only where
-it must be independent of that route or where no closed form exists: the
-conjugate side of crofoot_intertwine_check and the fraction_symbol check of
-the verify battery (oracles), and rational symbol terms in tto.build_tto.
+(1 - |alpha|^2)^{-1/2} (1 - conj(alpha) u) is a unitary map T: K_{u_alpha} -> K_u
+(the Crofoot transform); it intertwines the plain compressed shift S' on
+K_{u_alpha} with the generalized shift S_alpha, T S' = S_alpha T, and transports
+every analytic symbol phi to the fraction symbol phi/(1 - alpha conj(u)).
+With I - S' S'^* = K'_0 (x) K'_0 this makes T the solution of the Stein equation
+T - S_alpha T S'^* = (T K'_0) (x) K'_0, and T K'_0 is a multiple of K_0, so T is
+built without circle quadrature.  Since the analytic operator A_phi on
+K_{u_alpha} is phi(S'), the fraction operator is phi(S_alpha): polynomial
+fraction symbols are built by Horner's rule on S_alpha.  Refined quadrature of
+a fraction symbol stays only where it must be independent of that route or
+where no closed form exists: the source side and the conjugate side of
+crofoot_intertwine_check and the fraction_symbol check of the verify battery
+(oracles), and rational symbol terms in tto.build_tto.
 
 For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
@@ -28,16 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, stein_solve
 from .classification import classify_type
 from .errors import (
     AlphaNotUnimodular,
     AlphaOnCircle,
     NotATTO,
     NumericalFailure,
-    QuadratureError,
 )
-from .model_space import ModelSpace, ModelVector, circle_grid, same_space
+from .model_space import ModelSpace, ModelVector, same_space
 from .tto import (
     DEFAULT_TOL_FACTOR,
     SymbolExpr,
@@ -104,34 +106,36 @@ class CrofootTransform:
         return self.target.vector(self.mat @ f.coords)
 
 
+# Boundary points where u_alpha is compared with tau_alpha(u); none is one of the
+# seventh roots of unity at which level_set_blaschke fits the rotation.
+DRIFT_POINTS = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+
+
 def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     """Build the Crofoot transform of K_u at interior alpha.
 
-    The matrix pairs the source and target bases on a common grid (the finer
-    of the two cached grids) and is checked unitary to 1e-9; the constructed
-    u_alpha is checked pointwise against tau_alpha(u) to 1e-10.
+    The matrix is the Stein solve of T - S_alpha T S'^* = (T K'_0) (x) K'_0 with
+    T K'_0 = sqrt(1 - |alpha|^2)/(1 - alpha conj(u(0))) K_0, where S' and K'_0 are
+    the shift and the kernel at 0 of K_{u_alpha}.  The constructed u_alpha is
+    checked against tau_alpha(u) at 16 boundary points to 1e-10, and T is checked
+    unitary to 1e-9.
     """
     alpha = complex(alpha)
     if abs(alpha) >= 1.0 - 1e-12:
         raise AlphaOnCircle("crofoot requires |alpha| < 1")
     u_alpha = level_set_blaschke(space.u, alpha)
-    source = ModelSpace(u_alpha)
-    n_common = max(space.quad_points, source.quad_points)
-    if n_common == space.quad_points:
-        grid, u_vals, e_tgt = space.grid, space.u_values, space.basis_values
-    else:
-        grid = circle_grid(n_common)
-        u_vals = space.u.evaluate(grid)
-        e_tgt = space.basis_values_at(grid)
-    e_src = source.basis_values_at(grid) if n_common != source.quad_points else source.basis_values
-    drift = float(np.max(np.abs(u_alpha.evaluate(grid) - disc_automorphism(u_vals, alpha))))
+    drift = float(np.max(np.abs(u_alpha.evaluate(DRIFT_POINTS) - disc_automorphism(
+        space.u.evaluate(DRIFT_POINTS), alpha))))
     if drift > 1e-10:
         raise NumericalFailure(f"u_alpha drifts {drift:.3e} from tau_alpha(u)")
-    weight = (1.0 - abs(alpha) ** 2) ** -0.5 * (1.0 - np.conj(alpha) * u_vals)
-    mat = e_tgt.conj() @ (weight * e_src).T / n_common
+    source = ModelSpace(u_alpha)
+    s_src, k0_src, _ = u_alpha.shift_data
+    gain = np.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - alpha * np.conj(space.u.evaluate(0.0)))
+    mat = stein_solve(generalized_shift(space, alpha).mat, s_src.conj().T,
+                      np.outer(gain * space.k0.coords, np.conj(k0_src)))
     unitarity = spectral_norm(mat.conj().T @ mat - np.eye(space.dim))
     if unitarity > 1e-9:
-        raise QuadratureError(f"Crofoot matrix unitarity residual {unitarity:.3e}")
+        raise NumericalFailure(f"Crofoot matrix unitarity residual {unitarity:.3e}")
     return CrofootTransform(alpha, source, space, mat)
 
 
@@ -173,19 +177,20 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     return TTOMatrix(acc, space)
 
 
-def reduce_mod_level_set(space: ModelSpace, phi, alpha) -> np.ndarray:
+def reduce_mod_level_set(space: ModelSpace, phi, alpha) -> ModelVector:
     """Canonical representative of phi modulo the fraction-symbol kernel.
 
-    Two analytic polynomials give the same fraction operator iff u_alpha
-    divides their difference, so the representative is the polynomial
-    remainder modulo the numerator of u_alpha.
+    Two analytic symbols give the same fraction operator iff u_alpha divides
+    their difference, so the representative is the projection of phi onto
+    K_{u_alpha}, P phi = phi(S') K'_0, evaluated by Horner's rule on a vector.
     """
     coeffs = _poly_coeffs(phi)
-    zeros = space.u.solve_equals(alpha)
-    modulus = npoly.polyfromroots(zeros)
-    if coeffs.size < modulus.size:
-        return coeffs
-    return npoly.polydiv(coeffs, modulus)[1]
+    source = ModelSpace(level_set_blaschke(space.u, alpha))
+    s, k0, _ = source.u.shift_data
+    acc = coeffs[-1] * k0
+    for c in coeffs[-2::-1]:
+        acc = s @ acc + c * k0
+    return source.vector(acc)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class QuadratureError(TTOLabError):
     """Circle quadrature could not reach the requested accuracy."""
 
 
-class GridMismatch(TTOLabError):
-    """Grid value tables of different lengths were combined."""
-
-
 class OutsideClosedDisc(TTOLabError):
     """Point lies outside the domain required by the operation."""
 

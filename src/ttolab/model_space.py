@@ -5,11 +5,13 @@ are stored as coordinates in the orthonormal Takenaka-Malmquist basis
 
     e_k(z) = sqrt(1 - |a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z - a_j)/(1 - conj(a_j) z),
 
-which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  Quadrature
-oracles and rational symbols use the uniform trapezoid rule on the circle, whose
-error decays geometrically for rational integrands with poles off the circle;
-the grid size is doubled at construction until the basis Gram matrix is the
-identity to 1e-12 (1e-10 is a hard floor).
+which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  The shift, the
+kernels at 0 and the conjugation are closed forms or Stein solves in these
+coordinates.  Quadrature oracles and rational symbols use the uniform trapezoid
+rule on the circle, whose error decays geometrically for rational integrands
+with poles off the circle.  The conjugation and the grid are built the first
+time they are read; the grid size is doubled until the basis Gram matrix is
+the identity to 1e-12 (1e-10 is a hard floor).
 """
 
 from __future__ import annotations
@@ -19,16 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import POLE_TOL, BlaschkeProduct
-from .errors import (
-    GridMismatch,
-    OutsideClosedDisc,
-    PoleHit,
-    QuadratureError,
-    SpaceMismatch,
-)
+from .blaschke import POLE_TOL, BlaschkeProduct, stein_solve
+from .errors import OutsideClosedDisc, PoleHit, QuadratureError, SpaceMismatch
 
-DEFAULT_GRAM_TOL = 1e-12
+GRAM_TOL = 1e-12
 GRAM_TOL_FLOOR = 1e-10
 MAX_QUAD_POINTS = 1 << 18
 
@@ -47,17 +43,8 @@ def circle_grid(num_points: int) -> np.ndarray:
     return np.exp(2j * np.pi * j / num_points)
 
 
-def circle_inner(f_values: np.ndarray, g_values: np.ndarray) -> complex:
-    """Trapezoid value of <f, g> = (1/N) sum f(zeta_j) conj(g(zeta_j))."""
-    f = np.asarray(f_values, dtype=complex)
-    g = np.asarray(g_values, dtype=complex)
-    if f.shape != g.shape:
-        raise GridMismatch(f"grid tables of shapes {f.shape} and {g.shape}")
-    return complex(np.sum(f * np.conj(g)) / f.size)
-
-
 class ModelSpace:
-    """Computational handle for K_u: cached grid, basis table, conjugation.
+    """Computational handle for K_u; the conjugation and the quadrature grid are built on first use.
 
     Parameters
     ----------
@@ -65,41 +52,46 @@ class ModelSpace:
     quad_points : int, optional
         Starting grid size; rounded up to a power of two and to the structural
         floor 4*(2n+1), then doubled until the Gram matrix is the identity to
-        ``gram_tol``.
-    gram_tol : float
-        Construction accuracy target for the basis Gram matrix.
+        1e-12.
     """
 
-    def __init__(self, u: BlaschkeProduct, quad_points: int | None = None,
-                 gram_tol: float = DEFAULT_GRAM_TOL):
+    def __init__(self, u: BlaschkeProduct, quad_points: int | None = None):
         self.u = u
         self.dim = u.degree
         floor = max(_next_pow2(4 * (2 * self.dim + 1)), 8)
-        n_pts = default_quad_points(self.dim) if quad_points is None else max(
+        self._start_points = default_quad_points(self.dim) if quad_points is None else max(
             _next_pow2(quad_points), floor)
+        self._op_cache: dict = {}
+
+    @cached_property
+    def _quadrature(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
+        """(quad_points, grid, basis_values, u_values, gram_residual), certified together."""
+        n_pts = self._start_points
         while True:
             grid = circle_grid(n_pts)
             basis = self.basis_values_at(grid)
             gram = basis.conj() @ basis.T / n_pts
             err = float(np.max(np.abs(gram - np.eye(self.dim))))
-            if err <= gram_tol or n_pts >= MAX_QUAD_POINTS:
+            if err <= GRAM_TOL or n_pts >= MAX_QUAD_POINTS:
                 break
             n_pts *= 2
         if err > GRAM_TOL_FLOOR:
             raise QuadratureError(
                 f"Gram residual {err:.3e} above {GRAM_TOL_FLOOR} at N={n_pts}")
-        self.quad_points = n_pts
-        self.grid = grid
-        self.basis_values = basis
-        self.u_values = u.evaluate(grid)
-        self.gram_residual = err
-        self._op_cache: dict = {}
-        self.conj_matrix = self._build_conjugation_matrix()
+        return n_pts, grid, basis, self.u.evaluate(grid), err
 
-    def _build_conjugation_matrix(self) -> np.ndarray:
+    quad_points = property(lambda self: self._quadrature[0])
+    grid = property(lambda self: self._quadrature[1])
+    basis_values = property(lambda self: self._quadrature[2], doc="Basis on the grid, (dim, N).")
+    u_values = property(lambda self: self._quadrature[3])
+    gram_residual = property(lambda self: self._quadrature[4])
+
+    @cached_property
+    def conj_matrix(self) -> np.ndarray:
+        """M with C f = M conj(f), a Stein solve checked symmetric and involutive to 1e-10."""
         # C S C = S^* and C K_0 = Kt_0 give M - S M conj(S) = K_0 Kt_0^T for C f = M conj(f)
-        _, k0, kt0 = self.u.shift_data
-        m = self.u.stein_solve(np.outer(k0, kt0), conjugate=True)
+        s, k0, kt0 = self.u.shift_data
+        m = stein_solve(s, s.conj(), np.outer(k0, kt0))
         sym = float(np.max(np.abs(m - m.T)))
         invol = float(np.max(np.abs(m @ m.conj() - np.eye(self.dim))))
         if sym > 1e-10 or invol > 1e-10:
@@ -108,7 +100,7 @@ class ModelSpace:
         return m
 
     def __repr__(self):
-        return f"ModelSpace(degree={self.dim}, quad_points={self.quad_points})"
+        return f"ModelSpace(degree={self.dim})"
 
     # -- basis and evaluation -------------------------------------------------
 
@@ -125,11 +117,6 @@ class ModelSpace:
             out[k] = np.sqrt(1.0 - abs(a[k]) ** 2) / den * running
             running = running * (pts - a[k]) / den
         return out
-
-    def tm_basis_value(self, k: int, z) -> complex:
-        if not 0 <= k < self.dim:
-            raise ValueError(f"basis index {k} outside 0..{self.dim - 1}")
-        return complex(self.basis_values_at(z)[k, 0])
 
     def vector(self, coords) -> "ModelVector":
         return ModelVector(np.asarray(coords, dtype=complex), self)
@@ -167,7 +154,7 @@ class ModelSpace:
 
 
 def same_space(a: ModelSpace, b: ModelSpace) -> bool:
-    return a is b or (a.u == b.u and a.quad_points == b.quad_points)
+    return a is b or a.u == b.u
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import RationalPair
+from .blaschke import RationalPair, stein_solve
 from .errors import NotATTO, PoleOnCircle, QuadratureError, SpaceMismatch
 from .model_space import (MAX_QUAD_POINTS, ModelSpace, ModelVector, circle_grid,
                           same_space)
@@ -278,7 +278,9 @@ def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:
         return build_refined(space,
                              lambda pts, uv: symbol.values_at(space, pts, uv))
     phi, psi = symbol.standard_parts(space)
-    return TTOMatrix(space.u.stein_solve(outer(phi, space.k0) + outer(space.k0, psi)), space)
+    s = compressed_shift(space).mat
+    return TTOMatrix(stein_solve(s, s.conj().T, outer(phi, space.k0) + outer(space.k0, psi)),
+                     space)
 
 
 def compressed_shift(space: ModelSpace) -> TTOMatrix:

@@ -658,7 +658,8 @@ class _Verifier:
             coeffs = sampling.sample_polynomial(self.rng, 2 * sp.dim + 1)
             reduced = crofoot_clark.reduce_mod_level_set(sp, coeffs, alpha)
             a = crofoot_clark.build_clark_fraction_tto(sp, coeffs, alpha)
-            b = crofoot_clark.build_clark_fraction_tto(sp, reduced, alpha)
+            transform = crofoot_clark.crofoot(sp, alpha)
+            b = transform.map_to_target(build_tto(transform.source, SymbolExpr(analytic=reduced)))
             worst = max(worst, (a - b).norm() / max(1.0, a.norm()))
         return worst, self.trials, "symbols reduce modulo the level-set product"
 

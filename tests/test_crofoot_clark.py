@@ -8,9 +8,12 @@ from ttolab import (
     AlphaOnCircle,
     BlaschkeProduct,
     ModelSpace,
+    SymbolExpr,
     build_clark_fraction_tto,
     build_from_grid_values,
     build_refined,
+    build_tto,
+    circle_grid,
     clark_data,
     classify_unitary,
     compressed_shift,
@@ -89,6 +92,23 @@ def test_crofoot_round_trip(pair_space, rng):
     assert np.max(np.abs(back.mat - a)) < 1e-10
 
 
+def _quadrature_crofoot(transform):
+    """T by pairing the source and target bases on the finer of their two grids."""
+    target, source, alpha = transform.target, transform.source, transform.alpha
+    n_common = max(target.quad_points, source.quad_points)
+    grid = circle_grid(n_common)
+    weight = (1.0 - abs(alpha) ** 2) ** -0.5 * (1.0 - np.conj(alpha) * target.u.evaluate(grid))
+    e_tgt, e_src = target.basis_values_at(grid), source.basis_values_at(grid)
+    return e_tgt.conj() @ (weight * e_src).T / n_common
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.2j, -0.55])
+def test_crofoot_stein_matches_quadrature(stress_spaces, stress_family, alpha):
+    transform = crofoot(stress_spaces[stress_family], alpha)
+    quad = _quadrature_crofoot(transform)
+    assert np.linalg.norm(transform.mat - quad, 2) <= 1e-12 * np.linalg.norm(quad, 2)
+
+
 def test_crofoot_intertwining_polynomial_symbols(triple_space):
     t = crofoot(triple_space, 0.2 + 0.1j)
     for coeffs in ([0.0, 1.0], [1.0, -0.5, 2.0], [0.3j, 0.0, 1.0, -1.0]):
@@ -165,21 +185,26 @@ def test_fraction_vector_and_polynomial_routes_agree(triple_space):
 
 
 def test_reduce_mod_level_set(z2):
-    # z^3 mod (z^2 - 0.25): remainder 0.25 z
+    # P z^3 on K_{u_alpha}, u_alpha zeros +-0.5: agrees with z^3 there, and with the
+    # remainder of z^3 mod (z^2 - 0.25), which is 0.25 z
     reduced = reduce_mod_level_set(z2, np.array([0.0, 0.0, 0.0, 1.0]), 0.25)
-    assert np.allclose(reduced, [0.0, 0.25], atol=1e-12)
-    # low-degree polynomials pass through untouched
+    assert np.allclose(reduced.evaluate(np.array([0.5, -0.5])), [0.125, -0.125], atol=1e-12)
+    remainder = reduce_mod_level_set(z2, np.array([0.0, 0.25]), 0.25)
+    assert np.allclose(reduced.coords, remainder.coords, atol=1e-12)
+    # low-degree polynomials keep their values on the level set
     passthrough = reduce_mod_level_set(z2, np.array([1.0, 2.0]), 0.25)
-    assert np.allclose(passthrough, [1.0, 2.0])
+    assert np.allclose(passthrough.evaluate(np.array([0.5, -0.5])), [2.0, 0.0])
 
 
 def test_reduction_preserves_fraction_operator(triple_space):
+    # phi(S_alpha) = T A_{P phi} T^* with P phi in K_{u_alpha}
     alpha = 0.3j
     coeffs = np.array([1.0, 0.5, -2.0, 1.0j, 0.25])
     reduced = reduce_mod_level_set(triple_space, coeffs, alpha)
-    assert reduced.size <= 3
+    assert reduced.space.dim == 3
+    transform = crofoot(triple_space, alpha)
     a = build_clark_fraction_tto(triple_space, coeffs, alpha).mat
-    b = build_clark_fraction_tto(triple_space, reduced, alpha).mat
+    b = transform.map_to_target(build_tto(transform.source, SymbolExpr(analytic=reduced))).mat
     assert np.max(np.abs(a - b)) < 1e-9
 
 

@@ -3,12 +3,17 @@ import pytest
 
 from ttolab import (
     BlaschkeProduct,
-    GridMismatch,
     ModelSpace,
     OutsideClosedDisc,
     SpaceMismatch,
+    build_tto,
     circle_grid,
-    circle_inner,
+    classify_type,
+    crofoot,
+    is_tto,
+    same_space,
+    sample_blaschke,
+    sample_symbol,
 )
 
 
@@ -23,8 +28,9 @@ def test_monomial_basis_for_power_of_z(z3):
 def test_first_basis_function_is_normalized_kernel():
     # e_0(z) = sqrt(1-|a|^2)/(1 - conj(a) z)
     sp = ModelSpace(BlaschkeProduct((0.5,)))
-    assert sp.tm_basis_value(0, 0.0) == pytest.approx(np.sqrt(0.75))
-    assert sp.tm_basis_value(0, 0.5) == pytest.approx(np.sqrt(0.75) / 0.75)
+    e0 = sp.basis_values_at([0.0, 0.5])[0]
+    assert e0[0] == pytest.approx(np.sqrt(0.75))
+    assert e0[1] == pytest.approx(np.sqrt(0.75) / 0.75)
 
 
 def test_gram_matrix_against_independent_quadrature(pair_space):
@@ -47,6 +53,32 @@ def test_quadrature_auto_doubles_for_near_boundary_zero():
     assert sp.gram_residual < 1e-12
     # the default for low degree stays at the floor
     assert ModelSpace(BlaschkeProduct((0.0, 0.0))).quad_points == 256
+
+
+def _grid_built(space):
+    return "_quadrature" in vars(space)
+
+
+def test_grid_is_built_only_when_read():
+    # the closed-form and Stein routes never integrate on the circle
+    u = sample_blaschke(np.random.default_rng(16), 16)
+    sp = ModelSpace(u)
+    rng = np.random.default_rng(3)
+    a = build_tto(sp, sample_symbol(sp, rng))
+    assert is_tto(sp, a).passed
+    classify_type(sp, a)
+    u.solve_equals(0.4 - 0.2j)
+    transform = crofoot(sp, 0.3 + 0.2j)
+    assert not _grid_built(sp) and not _grid_built(transform.source)
+    assert "conj_matrix" not in vars(transform.source)
+    # spaces are told apart by u alone, whatever grid they start from
+    finer = ModelSpace(u, quad_points=4096)
+    assert same_space(sp, finer) and not _grid_built(finer)
+    # reading any grid attribute builds the whole certified grid once
+    assert sp.basis_values.shape == (16, sp.quad_points)
+    assert _grid_built(sp) and sp.gram_residual < 1e-12
+    assert np.allclose(sp.u_values, u.evaluate(sp.grid), atol=1e-14)
+    assert finer.quad_points == 4096
 
 
 def test_reproducing_property(z2):
@@ -122,11 +154,6 @@ def test_boundary_kernel_norm_is_derivative_modulus(triple_space, rng):
 def test_kernel_outside_disc_rejected(z2):
     with pytest.raises(OutsideClosedDisc):
         z2.kernel(1.5)
-
-
-def test_grid_mismatch(z2):
-    with pytest.raises(GridMismatch):
-        circle_inner(np.ones(8), np.ones(16))
 
 
 def test_vector_arithmetic(z2):

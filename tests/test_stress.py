@@ -4,8 +4,10 @@ Each input below used to fail.  The roots of u = alpha came from the monomial
 expansion of u and missed their residual or the unit circle; they are now the
 spectrum of the closed-form S_alpha.  Operators and the conjugation came from
 the space's quadrature grid, which under-resolved them on repeated zeros near
-the circle; they are now Stein sums on the closed-form shift.  Every call must
-pass its own construction checks.
+the circle; they are now Stein sums on the closed-form shift.  The fraction
+reduction took a remainder modulo the monomial expansion of u_alpha; it is now
+the projection phi(S') K'_0.  Every call must pass its own construction checks,
+and the whole verify battery must pass on the stress corpus.
 """
 
 import functools
@@ -14,8 +16,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ttolab import (classify_type, clark_data, crofoot, sample_blaschke, sample_typed_tto,
-                    verify_space)
+from ttolab import (BlaschkeProduct, ModelSpace, classify_type, clark_data, crofoot,
+                    sample_blaschke, sample_typed_tto, verify_space)
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -68,8 +70,7 @@ def test_verify_space_on_stress_families(stress_spaces, family):
     assert CROFOOT_AND_CLARK <= set(checks)
     for name in CROFOOT_AND_CLARK:
         assert checks[name].passed, (name, checks[name].note)
-    # fraction_reduction still takes the remainder of a monomial expansion
-    assert {c.name for c in report.failures} <= {"fraction_reduction"}
+    assert not report.failures, [(c.name, c.max_residual, c.note) for c in report.failures]
 
 
 def test_solve_equals_matches_monomial_roots():
@@ -99,6 +100,19 @@ def test_typed_operators_classify_on_repeated_zeros(stress_spaces):
         assert abs(tag.value - alpha) / (1.0 + abs(alpha)) <= 1e-6
 
 
-def test_verify_space_on_repeated_zeros(stress_spaces):
-    report = verify_space(stress_spaces["repeated 0.9 x8"], seed=2, trials=6)
+# The stress corpus for the whole battery: the stress families but random 16, and two more.
+MORE_FAMILIES = {
+    "repeated 0.9 x16": BlaschkeProduct((0.9,) * 16),
+    "random 32": sample_blaschke(np.random.default_rng(32), 32),
+}
+
+
+@pytest.mark.parametrize("family", [
+    "repeated 0.9 x8", "repeated 0.9 x16", "repeated 0.5 x16", "cluster of 12",
+    "near circle 0.995 x8", "random 32", "random 64", "random 128",
+])
+def test_verify_space_passes_every_check(stress_spaces, family):
+    sp = stress_spaces[family] if family in stress_spaces else ModelSpace(MORE_FAMILIES[family])
+    report = verify_space(sp, seed=2, trials=6)
+    assert len(report.checks) == 45
     assert not report.failures, [(c.name, c.max_residual, c.note) for c in report.failures]
