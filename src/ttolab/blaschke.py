@@ -21,9 +21,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import PoleHit, RootSolveError
-
-EPS_DISC = 1e-12
-POLE_TOL = 1e-14
+from .tolerances import DISC_MARGIN, POLE_TOL
 
 
 def _as_points(z):
@@ -122,10 +120,10 @@ class BlaschkeProduct:
         if len(zs) == 0:
             raise ValueError("a finite Blaschke product needs at least one zero")
         moduli = np.abs(np.asarray(zs))
-        if np.any(moduli >= 1.0 - EPS_DISC):
-            raise ValueError("every zero must satisfy |a| < 1 - 1e-12")
+        if not np.all(moduli < 1.0 - DISC_MARGIN):
+            raise ValueError(f"every zero must satisfy |a| < 1 - {DISC_MARGIN}")
         rot = complex(self.rotation)
-        if abs(abs(rot) - 1.0) > 1e-14:
+        if not abs(abs(rot) - 1.0) <= 1e-14:
             raise ValueError("rotation must be unimodular within 1e-14")
         rot /= abs(rot)
         object.__setattr__(self, "zeros", zs)
@@ -205,7 +203,7 @@ class BlaschkeProduct:
         interior, and every root must satisfy |u(root) - alpha| < 1e-9.
         """
         alpha = complex(alpha)
-        if abs(alpha) > 1.0 + 1e-12:
+        if abs(alpha) > 1.0 + DISC_MARGIN:
             raise ValueError("solve_equals requires |alpha| <= 1")
         if alpha == 0:
             roots = self._zero_arr.copy()
@@ -222,10 +220,10 @@ class BlaschkeProduct:
                     trial_res = self.evaluate(trial) - alpha
                     ok = np.abs(trial_res) < np.abs(res)
                     roots, res = np.where(ok, trial, roots), np.where(ok, trial_res, res)
-        if abs(abs(alpha) - 1.0) <= 1e-12:
+        if abs(abs(alpha) - 1.0) <= DISC_MARGIN:
             if not np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-8:
                 raise RootSolveError("boundary preimages drifted off the unit circle")
-        elif not np.all(np.abs(roots) < 1.0 + 1e-12):
+        elif not np.all(np.abs(roots) < 1.0 + DISC_MARGIN):
             raise RootSolveError("interior preimages escaped the unit disc")
         residual = np.max(np.abs(self.evaluate(roots) - alpha))
         if not residual <= 1e-9:

@@ -23,19 +23,20 @@ import numpy as np
 
 from .errors import NotATTO, NumericalFailure, OutsideClosedDisc, SingularMatrix
 from .model_space import ModelSpace
+from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
-    DEFAULT_TOL_FACTOR,
     SymbolExpr,
     TTOMatrix,
     as_matrix,
     build_tto,
-    compressed_shift,
     extract_symbol,
     generalized_shift,
     is_tto,
     outer,
     spectral_norm,
+    _off_k0_projector,
     _project_off_k0,
+    _shift_conjugate,
 )
 
 
@@ -64,7 +65,7 @@ class TypeTag:
     def is_typed(self) -> bool:
         return self.kind in ("scalar", "alpha", "infinity")
 
-    def compatible_with(self, other: "TypeTag", tol: float = 1e-6) -> bool:
+    def compatible_with(self, other: "TypeTag") -> bool:
         """Do the two verdicts admit a common type (scalars match anything typed)."""
         if not (self.is_typed and other.is_typed):
             return False
@@ -75,7 +76,7 @@ class TypeTag:
         if self.kind == "infinity":
             return True
         a, b = self.value, other.value
-        return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
+        return abs(a - b) <= TYPE_TOL * (1.0 + abs(a) + abs(b))
 
     def to_json(self):
         val = None if self.value is None else [self.value.real, self.value.imag]
@@ -100,20 +101,17 @@ def no_type_tag(residual: float) -> TypeTag:
 
 def _classification_data(space: ModelSpace, operator):
     """Shared preprocessing: canonical symbol parts and their K_0-quotient images."""
-    membership = is_tto(space, operator, None)
+    membership = is_tto(space, operator)
     if not membership.passed:
         raise NotATTO(
             f"defect residual {membership.residual:.3e} exceeds {membership.tol:.3e}")
     phi1, phi2 = membership.phi, membership.psi
-    s = compressed_shift(space).mat
-    sc_phi1 = space.vector(s @ space.conjugate(phi1).coords)
-    v1 = _project_off_k0(space, sc_phi1.coords)
+    v1 = _project_off_k0(space, _shift_conjugate(space, phi1).coords)
     v2 = phi2.coords  # already normalized off K_0
     return phi1, phi2, v1, v2
 
 
-def classify_type(space: ModelSpace, operator,
-                  tol_factor: float = DEFAULT_TOL_FACTOR) -> TypeTag:
+def classify_type(space: ModelSpace, operator) -> TypeTag:
     """Classify a truncated Toeplitz operator by its type.
 
     Returns Scalar for multiples of the identity, Type(0) for purely analytic
@@ -130,7 +128,7 @@ def classify_type(space: ModelSpace, operator,
     scale = phi1.norm() + phi2.norm()
     if scale == 0.0:
         return scalar_tag(0.0)
-    tol = tol_factor * scale
+    tol = VERDICT_TOL * scale
     off_k0 = np.linalg.norm(_project_off_k0(space, phi1.coords))
     if off_k0 <= tol and phi2.norm() <= tol:
         c = np.vdot(k0, phi1.coords) / np.vdot(k0, k0)
@@ -143,7 +141,7 @@ def classify_type(space: ModelSpace, operator,
         return alpha_tag(0.0, n2)
     alpha_bar = np.vdot(v1, v2) / np.vdot(v1, v1)
     residual = float(np.linalg.norm(v2 - alpha_bar * v1))
-    if residual <= tol_factor * (n1 + n2):
+    if residual <= VERDICT_TOL * (n1 + n2):
         return alpha_tag(np.conj(alpha_bar), residual)
     return no_type_tag(residual)
 
@@ -198,24 +196,20 @@ def product_rank2_residual(space: ModelSpace, first: SymbolExpr,
     """
     first = _standardize(space, first)
     second = _standardize(space, second)
-    k0 = space.k0
     phi1, phi2 = first.standard_parts(space)
     psi1, psi2 = second.standard_parts(space)
-    s = compressed_shift(space).mat
-    sc_phi2 = space.vector(s @ space.conjugate(phi2).coords)
-    sc_psi1 = space.vector(s @ space.conjugate(psi1).coords)
+    sc_phi2 = _shift_conjugate(space, phi2)
+    sc_psi1 = _shift_conjugate(space, psi1)
     m = outer(phi1, psi2) - outer(sc_phi2, sc_psi1)
-    nk2 = float(np.real(np.vdot(k0.coords, k0.coords)))
-    pperp = np.eye(space.dim) - np.outer(k0.coords, np.conj(k0.coords)) / nk2
+    pperp = _off_k0_projector(space)
     residual = spectral_norm(pperp @ m @ pperp)
     scale = phi1.norm() * psi2.norm() + sc_phi2.norm() * sc_psi1.norm() + 1.0
     return residual / scale
 
 
-def product_rank2_condition(space: ModelSpace, first: SymbolExpr, second: SymbolExpr,
-                            tol_factor: float = DEFAULT_TOL_FACTOR) -> bool:
+def product_rank2_condition(space: ModelSpace, first: SymbolExpr, second: SymbolExpr) -> bool:
     """Rank-two test deciding whether A_first A_second is a truncated Toeplitz operator."""
-    return bool(product_rank2_residual(space, first, second) <= tol_factor)
+    return bool(product_rank2_residual(space, first, second) <= VERDICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -234,8 +228,7 @@ class ProductClassification:
     membership_residual: float
 
 
-def product_classification(space: ModelSpace, left, right,
-                           tol_factor: float = DEFAULT_TOL_FACTOR) -> ProductClassification:
+def product_classification(space: ModelSpace, left, right) -> ProductClassification:
     """Classify A B per the product theorem, cross-checking every branch.
 
     Raises NotATTO when either factor fails membership and NumericalFailure
@@ -247,12 +240,12 @@ def product_classification(space: ModelSpace, left, right,
     for mat, side in ((a, "left"), (b, "right")):
         if not is_tto(space, mat).passed:
             raise NotATTO(f"{side} factor fails the membership test")
-    tag_a = classify_type(space, a, tol_factor)
-    tag_b = classify_type(space, b, tol_factor)
+    tag_a = classify_type(space, a)
+    tag_b = classify_type(space, b)
     prod = a @ b
     membership = is_tto(space, prod)
     if membership.passed:
-        tag_p = classify_type(space, prod, tol_factor)
+        tag_p = classify_type(space, prod)
         if tag_a.is_scalar or tag_b.is_scalar:
             return ProductClassification("trivial", None, tag_a, tag_b, tag_p,
                                          membership.residual)
@@ -283,10 +276,9 @@ def commutant_residual(space: ModelSpace, operator, alpha) -> float:
     return comm / max(spectral_norm(a), 1e-300)
 
 
-def commutant_check(space: ModelSpace, operator, alpha,
-                    tol_factor: float = DEFAULT_TOL_FACTOR) -> bool:
+def commutant_check(space: ModelSpace, operator, alpha) -> bool:
     """Does the operator commute with the generalized shift S_alpha (|alpha| <= 1)."""
-    return bool(commutant_residual(space, operator, alpha) <= tol_factor)
+    return bool(commutant_residual(space, operator, alpha) <= VERDICT_TOL)
 
 
 def commutant_symbol(space: ModelSpace, operator, alpha) -> SymbolExpr:
@@ -299,9 +291,7 @@ def commutant_symbol(space: ModelSpace, operator, alpha) -> SymbolExpr:
     alpha = complex(alpha)
     u0 = space.u.evaluate(0.0)
     phi = space.vector(a @ space.k0.coords / (1.0 - alpha * np.conj(u0)))
-    s = compressed_shift(space).mat
-    sc_phi = space.vector(s @ space.conjugate(phi).coords)
-    return SymbolExpr(analytic=phi, coanalytic=np.conj(alpha) * sc_phi)
+    return SymbolExpr(analytic=phi, coanalytic=np.conj(alpha) * _shift_conjugate(space, phi))
 
 
 # -- rank one -----------------------------------------------------------------
@@ -313,7 +303,7 @@ def rank_one_interior(space: ModelSpace, lam) -> tuple[TTOMatrix, TypeTag]:
     Its symbol is u/(z - lambda), and it squares to u'(lambda) times itself.
     """
     lam = complex(lam)
-    if abs(lam) >= 1.0 - 1e-12:
+    if abs(lam) >= 1.0 - DISC_MARGIN:
         raise OutsideClosedDisc("rank_one_interior needs |lambda| < 1")
     kt = space.conjugate_kernel(lam)
     k = space.kernel(lam)
@@ -326,7 +316,7 @@ def rank_one_interior(space: ModelSpace, lam) -> tuple[TTOMatrix, TypeTag]:
 def rank_one_boundary(space: ModelSpace, zeta) -> tuple[TTOMatrix, TypeTag]:
     """Self-adjoint rank-one operator K_zeta (x) K_zeta for |zeta| = 1; type u(zeta)."""
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-10:
+    if abs(abs(zeta) - 1.0) > ON_CIRCLE_TOL:
         raise OutsideClosedDisc("rank_one_boundary needs |zeta| = 1")
     zeta /= abs(zeta)
     k = space.kernel(zeta)
@@ -339,7 +329,7 @@ def rank_one_boundary(space: ModelSpace, zeta) -> tuple[TTOMatrix, TypeTag]:
 def _assert_rank_one_type(space, tag, expected):
     if space.dim == 1 or tag.is_scalar:
         return
-    if tag.kind != "alpha" or abs(tag.value - expected) > 1e-6 * (1.0 + abs(expected)):
+    if tag.kind != "alpha" or abs(tag.value - expected) > TYPE_TOL * (1.0 + abs(expected)):
         raise NumericalFailure(
             f"rank-one operator classified {tag.kind}/{tag.value} instead of {expected}")
 
@@ -358,28 +348,27 @@ class InverseTypeReport:
     membership_residual: float
 
 
-def inverse_type_check(space: ModelSpace, operator,
-                       tol_factor: float = DEFAULT_TOL_FACTOR) -> InverseTypeReport:
+def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
     """Verify that the inverse is a truncated Toeplitz operator iff the input is typed.
 
     When both are typed the tags must agree.  Raises SingularMatrix when the
-    smallest singular value is below 1e-8 times the norm, NotATTO when the
+    smallest singular value is below VERDICT_TOL times the norm, NotATTO when the
     input fails membership.
     """
     a = as_matrix(space, operator)
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= 1e-8 * svals[0]:
+    if svals[-1] <= VERDICT_TOL * svals[0]:
         raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
     if not is_tto(space, a).passed:
         raise NotATTO("inverse_type_check input fails the membership test")
-    tag = classify_type(space, a, tol_factor)
+    tag = classify_type(space, a)
     inv = np.linalg.inv(a)
     membership = is_tto(space, inv)
     if membership.passed:
-        inv_tag = classify_type(space, inv, tol_factor)
+        inv_tag = classify_type(space, inv)
         consistent = tag.is_typed and tag.compatible_with(inv_tag)
         if tag.kind == "alpha" and inv_tag.kind == "alpha":
-            consistent = consistent and abs(tag.value - inv_tag.value) <= 1e-6 * (
+            consistent = consistent and abs(tag.value - inv_tag.value) <= TYPE_TOL * (
                 1.0 + abs(tag.value))
     else:
         inv_tag = None
@@ -403,15 +392,14 @@ class AlgebraReport:
     violation: str | None = None
 
 
-def algebra_containment(space: ModelSpace, operators,
-                        tol_factor: float = DEFAULT_TOL_FACTOR) -> AlgebraReport:
+def algebra_containment(space: ModelSpace, operators) -> AlgebraReport:
     """Check whether a family can sit inside one maximal algebra B_alpha."""
     mats = [as_matrix(space, op) for op in operators]
     tags = []
     for i, mat in enumerate(mats):
         if not is_tto(space, mat).passed:
             raise NotATTO(f"element {i} fails the membership test")
-        tags.append(classify_type(space, mat, tol_factor))
+        tags.append(classify_type(space, mat))
     non_scalar = [(i, t) for i, t in enumerate(tags) if not t.is_scalar]
     if not non_scalar:
         return AlgebraReport("scalar_algebra", None)

@@ -18,7 +18,8 @@ symbol JSON (coordinates in the orthonormal basis of K_u).  Reports are JSON
 on stdout by default, deterministic for fixed inputs: keys sorted, floats
 printed through 15 significant digits.  --text switches to a human-readable
 rendering.  Exit status 0 means every task ran and every check passed, 1
-means some verification failed, 2 means the problem file is invalid.
+means some verification failed, 2 means the problem file or an option is
+invalid.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ def canonical_json(obj) -> str:
 
 
 def _complex_pair(raw, what: str) -> complex:
+    # json reads NaN and Infinity; the bound also refuses ints too large for a float
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in raw)):
-        raise SchemaError(f"{what} must be a [real, imag] pair, got {raw!r}")
+                       and abs(v) <= sys.float_info.max for v in raw)):
+        raise SchemaError(f"{what} must be a finite [real, imag] pair, got {raw!r}")
     return complex(raw[0], raw[1])
 
 
@@ -190,16 +192,20 @@ def main(argv=None) -> int:
                         help="random trials per verify_all check (default 50)")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="uniform multiplier on verify_all bounds (default 1.0)")
-    parser.add_argument("--quad-points", type=int, default=None,
-                        help="starting quadrature grid size (power of two)")
     parser.add_argument("--text", action="store_true",
                         help="human-readable report instead of JSON")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    if not 0.0 < args.tol_scale <= sys.float_info.max:
+        parser.error(f"--tol-scale must be finite and positive, got {args.tol_scale}")
 
     try:
         problem = load_problem(args.input)
         u = parse_blaschke(problem["u"])
-        space = ModelSpace(u, quad_points=args.quad_points)
+        space = ModelSpace(u)
         results = []
         all_passed = True
         for task in problem["tasks"]:

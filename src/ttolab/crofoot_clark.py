@@ -40,18 +40,18 @@ from .errors import (
     NumericalFailure,
 )
 from .model_space import ModelSpace, ModelVector, same_space
+from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
-    DEFAULT_TOL_FACTOR,
     SymbolExpr,
     TTOMatrix,
     as_matrix,
     build_from_grid_values,
     build_refined,
     build_tto,
-    compressed_shift,
     generalized_shift,
     is_tto,
     spectral_norm,
+    _shift_conjugate,
 )
 
 
@@ -68,7 +68,7 @@ def level_set_blaschke(u: BlaschkeProduct, alpha) -> BlaschkeProduct:
     one.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - 1e-12:
+    if abs(alpha) >= 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("level_set_blaschke requires |alpha| < 1")
     zeros = u.solve_equals(alpha)
     anchors = np.exp(2j * np.pi * np.arange(7) / 7)
@@ -121,7 +121,7 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     unitary to 1e-9.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - 1e-12:
+    if abs(alpha) >= 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("crofoot requires |alpha| < 1")
     u_alpha = level_set_blaschke(space.u, alpha)
     drift = float(np.max(np.abs(u_alpha.evaluate(DRIFT_POINTS) - disc_automorphism(
@@ -160,13 +160,11 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     above n give the same operator as their remainder modulo u_alpha.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - 1e-12:
+    if abs(alpha) >= 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("fraction symbols need |alpha| < 1")
     if isinstance(phi, ModelVector):
-        s = compressed_shift(space).mat
-        sc_phi = space.vector(s @ space.conjugate(phi).coords)
-        return build_tto(space, SymbolExpr(analytic=phi,
-                                           coanalytic=np.conj(alpha) * sc_phi))
+        return build_tto(space, SymbolExpr(
+            analytic=phi, coanalytic=np.conj(alpha) * _shift_conjugate(space, phi)))
     coeffs = _poly_coeffs(phi)
     s_alpha = generalized_shift(space, alpha).mat
     acc = np.diag(np.full(space.dim, coeffs[-1]))
@@ -269,7 +267,7 @@ def invertibility_criterion(space: ModelSpace, phi, alpha) -> bool:
     """Is A_{phi/(1 - alpha conj(u))} invertible: phi must not vanish where u = alpha."""
     margin = fraction_invertibility_margin(space, phi, alpha)
     coeffs = _poly_coeffs(phi)
-    return bool(margin > 1e-8 * max(1.0, float(np.linalg.norm(coeffs))))
+    return bool(margin > VERDICT_TOL * max(1.0, float(np.linalg.norm(coeffs))))
 
 
 def fraction_invertibility_margin(space: ModelSpace, phi, alpha) -> float:
@@ -319,7 +317,7 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     ||K_0||^2 / |1 - conj(u(0)) alpha|^2 to 1e-8.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-10:
+    if abs(abs(alpha) - 1.0) > ON_CIRCLE_TOL:
         raise AlphaNotUnimodular(f"|alpha| = {abs(alpha):.12f}")
     alpha /= abs(alpha)
     points = space.u.solve_equals(alpha)
@@ -376,29 +374,28 @@ class UnitaryClassification:
     residual: float = 0.0
 
 
-def classify_unitary(space: ModelSpace, operator,
-                     tol_factor: float = DEFAULT_TOL_FACTOR) -> UnitaryClassification:
+def classify_unitary(space: ModelSpace, operator) -> UnitaryClassification:
     """Classify a unitary truncated Toeplitz operator through Clark spectral data.
 
     Checks A^* A = I, classifies the type (which the unitary theorem forces to
     be unimodular or scalar), and reads off the eigenvalues in the Clark
-    eigenbasis of S_alpha, asserting they are unimodular to 1e-8.
+    eigenbasis of S_alpha, asserting they are unimodular to VERDICT_TOL.
     """
     a = as_matrix(space, operator)
     if not is_tto(space, a).passed:
         raise NotATTO("classify_unitary input fails the membership test")
     gap = spectral_norm(a.conj().T @ a - np.eye(space.dim))
-    if gap > tol_factor * max(1.0, spectral_norm(a) ** 2):
+    if gap > VERDICT_TOL * max(1.0, spectral_norm(a) ** 2):
         return UnitaryClassification(False, residual=gap)
-    tag = classify_type(space, a, tol_factor)
+    tag = classify_type(space, a)
     if tag.kind == "none" or tag.kind == "infinity":
         raise NumericalFailure(f"unitary operator classified as {tag.kind}")
     if tag.is_scalar:
-        if abs(abs(tag.value) - 1.0) > 1e-8:
+        if abs(abs(tag.value) - 1.0) > VERDICT_TOL:
             raise NumericalFailure("unitary scalar with non-unimodular value")
         alpha = 1.0 + 0j
     else:
-        if abs(abs(tag.value) - 1.0) > 1e-6:
+        if abs(abs(tag.value) - 1.0) > TYPE_TOL:
             raise NumericalFailure(
                 f"unitary operator of non-unimodular type |alpha|={abs(tag.value):.8f}")
         alpha = tag.value / abs(tag.value)
@@ -406,6 +403,7 @@ def classify_unitary(space: ModelSpace, operator,
     diag = data.eigenvectors.conj().T @ a @ data.eigenvectors
     off = spectral_norm(diag - np.diag(np.diagonal(diag)))
     values = np.diagonal(diag).copy()
-    if off > 1e-8 * max(1.0, spectral_norm(a)) or np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
+    if (off > VERDICT_TOL * max(1.0, spectral_norm(a))
+            or np.max(np.abs(np.abs(values) - 1.0)) > VERDICT_TOL):
         raise NumericalFailure("unitary operator failed to diagonalize unimodularly")
     return UnitaryClassification(True, tag.is_scalar, alpha, values, data, gap)

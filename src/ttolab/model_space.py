@@ -11,7 +11,7 @@ coordinates.  Quadrature oracles and rational symbols use the uniform trapezoid
 rule on the circle, whose error decays geometrically for rational integrands
 with poles off the circle.  The conjugation and the grid are built the first
 time they are read; the grid size is doubled until the basis Gram matrix is
-the identity to 1e-12 (1e-10 is a hard floor).
+the identity to GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import POLE_TOL, BlaschkeProduct, stein_solve
+from .blaschke import BlaschkeProduct, stein_solve
 from .errors import OutsideClosedDisc, PoleHit, QuadratureError, SpaceMismatch
+from .tolerances import DISC_MARGIN, GRAM_TOL, GRAM_TOL_FLOOR, POLE_TOL
 
-GRAM_TOL = 1e-12
-GRAM_TOL_FLOOR = 1e-10
 MAX_QUAD_POINTS = 1 << 18
 
 
@@ -44,29 +43,17 @@ def circle_grid(num_points: int) -> np.ndarray:
 
 
 class ModelSpace:
-    """Computational handle for K_u; the conjugation and the quadrature grid are built on first use.
+    """Computational handle for K_u; its conjugation and quadrature grid are built on first use."""
 
-    Parameters
-    ----------
-    u : BlaschkeProduct
-    quad_points : int, optional
-        Starting grid size; rounded up to a power of two and to the structural
-        floor 4*(2n+1), then doubled until the Gram matrix is the identity to
-        1e-12.
-    """
-
-    def __init__(self, u: BlaschkeProduct, quad_points: int | None = None):
+    def __init__(self, u: BlaschkeProduct):
         self.u = u
         self.dim = u.degree
-        floor = max(_next_pow2(4 * (2 * self.dim + 1)), 8)
-        self._start_points = default_quad_points(self.dim) if quad_points is None else max(
-            _next_pow2(quad_points), floor)
         self._op_cache: dict = {}
 
     @cached_property
     def _quadrature(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
         """(quad_points, grid, basis_values, u_values, gram_residual), certified together."""
-        n_pts = self._start_points
+        n_pts = default_quad_points(self.dim)
         while True:
             grid = circle_grid(n_pts)
             basis = self.basis_values_at(grid)
@@ -129,7 +116,7 @@ class ModelSpace:
     def kernel(self, lam) -> "ModelVector":
         """Reproducing kernel K_lam, valid on the closed unit disc."""
         lam = complex(lam)
-        if abs(lam) > 1.0 + 1e-12:
+        if abs(lam) > 1.0 + DISC_MARGIN:
             raise OutsideClosedDisc(f"|lambda| = {abs(lam):.6f} > 1")
         coords = np.conj(self.basis_values_at(lam)[:, 0])
         return self.vector(coords)

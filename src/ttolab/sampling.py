@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .model_space import ModelSpace, ModelVector
-from .tto import SymbolExpr, TTOMatrix, build_tto, compressed_shift, _project_off_k0
+from .tto import SymbolExpr, TTOMatrix, build_tto, _project_off_k0, _shift_conjugate
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -22,9 +22,9 @@ def rng_from(seed) -> np.random.Generator:
 def sample_circle_point(rng) -> complex:
     return complex(np.exp(2j * np.pi * rng.uniform()))
 
-def sample_disc_point(rng, radius: float = 0.85, min_radius: float = 0.0) -> complex:
-    # area-uniform draw in an annulus of the disc
-    r = np.sqrt(rng.uniform(min_radius**2, radius**2))
+def sample_disc_point(rng, radius: float = 0.85) -> complex:
+    # area-uniform draw in the disc of the given radius
+    r = np.sqrt(rng.uniform(0.0, radius**2))
     return complex(r * np.exp(2j * np.pi * rng.uniform()))
 
 
@@ -33,16 +33,14 @@ def sample_blaschke(rng, degree: int, radius: float = 0.75) -> BlaschkeProduct:
     return BlaschkeProduct(tuple(zeros), sample_circle_point(rng))
 
 
-def sample_vector(space: ModelSpace, rng, scale: float = 1.0) -> ModelVector:
+def sample_vector(space: ModelSpace, rng) -> ModelVector:
     n = space.dim
     coords = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    return space.vector(scale * coords)
+    return space.vector(coords)
 
 
-def sample_symbol(space: ModelSpace, rng, with_constant: bool = True) -> SymbolExpr:
-    const = 0j
-    if with_constant:
-        const = complex(rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+def sample_symbol(space: ModelSpace, rng) -> SymbolExpr:
+    const = complex(rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
     return SymbolExpr(analytic=sample_vector(space, rng),
                       coanalytic=sample_vector(space, rng), constant=const)
 
@@ -51,28 +49,22 @@ def sample_tto(space: ModelSpace, rng) -> TTOMatrix:
     return build_tto(space, sample_symbol(space, rng))
 
 
-def sample_typed_symbol(space: ModelSpace, rng, alpha,
-                        with_constant: bool = True) -> SymbolExpr:
+def sample_typed_symbol(space: ModelSpace, rng, alpha) -> SymbolExpr:
     """Symbol phi + alpha conj(S C phi) + c of type alpha (alpha=None gives infinity)."""
     phi = sample_vector(space, rng)
-    const = 0j
-    if with_constant:
-        const = complex(rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+    const = complex(rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
     if alpha is None:
         return SymbolExpr(coanalytic=phi, constant=const)
-    s = compressed_shift(space).mat
-    sc_phi = space.vector(s @ space.conjugate(phi).coords)
+    sc_phi = _shift_conjugate(space, phi)
     return SymbolExpr(analytic=phi, coanalytic=np.conj(complex(alpha)) * sc_phi,
                       constant=const)
 
 
-def sample_typed_tto(space: ModelSpace, rng, alpha,
-                     with_constant: bool = True) -> TTOMatrix:
-    return build_tto(space, sample_typed_symbol(space, rng, alpha, with_constant))
+def sample_typed_tto(space: ModelSpace, rng, alpha) -> TTOMatrix:
+    return build_tto(space, sample_typed_symbol(space, rng, alpha))
 
 
-def sample_notype_symbol(space: ModelSpace, rng, min_sine: float = 0.3,
-                         max_tries: int = 200) -> SymbolExpr:
+def sample_notype_symbol(space: ModelSpace, rng) -> SymbolExpr:
     """Symbol whose operator has no type: quotient images well off parallel.
 
     Requires dim >= 3; on a two-dimensional space the off-K_0 quotient is a
@@ -80,23 +72,22 @@ def sample_notype_symbol(space: ModelSpace, rng, min_sine: float = 0.3,
     """
     if space.dim < 3:
         raise ValueError("operators without a type need dim >= 3")
-    s = compressed_shift(space).mat
-    for _ in range(max_tries):
+    for _ in range(200):
         phi1 = sample_vector(space, rng)
         phi2 = sample_vector(space, rng)
-        v1 = _project_off_k0(space, s @ space.conjugate(phi1).coords)
+        v1 = _project_off_k0(space, _shift_conjugate(space, phi1).coords)
         v2 = _project_off_k0(space, phi2.coords)
         n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
         if n1 < 0.2 or n2 < 0.2:
             continue
         cosine = abs(np.vdot(v1, v2)) / (n1 * n2)
-        if np.sqrt(max(0.0, 1.0 - cosine**2)) >= min_sine:
+        if np.sqrt(max(0.0, 1.0 - cosine**2)) >= 0.3:
             return SymbolExpr(analytic=phi1, coanalytic=phi2)
     raise RuntimeError("failed to sample a no-type symbol")
 
 
-def sample_notype_tto(space: ModelSpace, rng, min_sine: float = 0.3) -> TTOMatrix:
-    return build_tto(space, sample_notype_symbol(space, rng, min_sine))
+def sample_notype_tto(space: ModelSpace, rng) -> TTOMatrix:
+    return build_tto(space, sample_notype_symbol(space, rng))
 
 
 def sample_polynomial(rng, degree: int) -> np.ndarray:

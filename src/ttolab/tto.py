@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import RationalPair, stein_solve
-from .errors import NotATTO, PoleOnCircle, QuadratureError, SpaceMismatch
+from .errors import NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SpaceMismatch
 from .model_space import (MAX_QUAD_POINTS, ModelSpace, ModelVector, circle_grid,
                           same_space)
-
-DEFAULT_TOL_FACTOR = 1e-8
+from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -167,12 +166,12 @@ class SymbolExpr:
             vals = vals + np.conj(self.coanalytic.coords @ basis_values)
         for term in self.rational_terms:
             roots = term.pair.denominator_roots()
-            if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < 1e-10:
+            if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < ON_CIRCLE_TOL:
                 raise PoleOnCircle("rational symbol term has a pole on the unit circle")
             tv = term.pair.evaluate(points)
             if term.clark_alpha is not None:
                 alpha = complex(term.clark_alpha)
-                if abs(alpha) >= 1.0 - 1e-12:
+                if abs(alpha) >= 1.0 - DISC_MARGIN:
                     raise PoleOnCircle("clark fraction with |alpha| >= 1 has circle poles")
                 tv = tv / (1.0 - alpha * np.conj(u_values))
             vals = vals + tv
@@ -243,10 +242,11 @@ def build_from_grid_values(space: ModelSpace, values: np.ndarray) -> TTOMatrix:
     return TTOMatrix(mat, space)
 
 
-def build_refined(space: ModelSpace, values_fn, rel_tol: float = 1e-12) -> TTOMatrix:
+def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
     """Compression of a symbol given as a callable values_fn(points, u_values).
 
-    The quadrature grid doubles until the compressed matrix stabilizes.  The
+    The quadrature grid doubles until the compressed matrix moves by at most
+    1e-12 max(1, ||A||).  The
     space's own grid is tuned to integrate basis products, which is not enough
     for symbols whose poles approach the circle (rational terms, fraction
     symbols whose level set sits near the boundary); the stopping rule
@@ -262,7 +262,7 @@ def build_refined(space: ModelSpace, values_fn, rel_tol: float = 1e-12) -> TTOMa
             raise QuadratureError("symbol values are not finite on a refinement grid")
         basis = space.basis_values_at(pts)
         mat = basis.conj() @ (vals * basis).T / num
-        if prev is not None and spectral_norm(mat - prev) <= rel_tol * max(
+        if prev is not None and spectral_norm(mat - prev) <= 1e-12 * max(
                 1.0, spectral_norm(mat)):
             return TTOMatrix(mat, space)
         if num >= MAX_QUAD_POINTS:
@@ -293,7 +293,7 @@ def compressed_shift(space: ModelSpace) -> TTOMatrix:
 def generalized_shift(space: ModelSpace, alpha) -> TTOMatrix:
     """S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) conjugate-K_0, |alpha| <= 1."""
     alpha = complex(alpha)
-    if abs(alpha) > 1.0 + 1e-12:
+    if abs(alpha) > 1.0 + DISC_MARGIN:
         raise ValueError("generalized shift requires |alpha| <= 1")
     u0 = space.u.evaluate(0.0)
     gain = alpha / (1.0 - alpha * np.conj(u0))
@@ -316,6 +316,17 @@ def _project_off_k0(space: ModelSpace, coords: np.ndarray) -> np.ndarray:
     return coords - (np.vdot(k0, coords) / np.vdot(k0, k0)) * k0
 
 
+def _off_k0_projector(space: ModelSpace) -> np.ndarray:
+    """The orthogonal projection onto the complement of K_0, as a matrix."""
+    k0 = space.k0.coords
+    return np.eye(space.dim) - np.outer(k0, np.conj(k0)) / float(np.real(np.vdot(k0, k0)))
+
+
+def _shift_conjugate(space: ModelSpace, f: ModelVector) -> ModelVector:
+    """S C f; a type-alpha symbol is phi + alpha conj(S C phi) + c."""
+    return space.vector(compressed_shift(space).mat @ space.conjugate(f).coords)
+
+
 @dataclass(frozen=True, eq=False)
 class DefectDecomposition:
     """Membership verdict plus the canonical defect decomposition.
@@ -323,7 +334,7 @@ class DefectDecomposition:
     ``phi`` and ``psi`` satisfy defect ~ phi (x) K_0 + K_0 (x) psi with the
     normalization psi(0) = 0, so A = A_{phi + conj(psi)} when ``passed``.
     ``residual`` is the spectral norm of the defect compressed off K_0 in both
-    slots, and ``tol`` is the absolute threshold the verdict used.
+    slots, and ``tol`` is the absolute threshold the verdict used, VERDICT_TOL * ||A||.
     """
 
     passed: bool
@@ -336,17 +347,14 @@ class DefectDecomposition:
         return self.passed
 
 
-def is_tto(space: ModelSpace, operator, tol: float | None = None) -> DefectDecomposition:
+def is_tto(space: ModelSpace, operator) -> DefectDecomposition:
     """Defect membership test: is ``operator`` a truncated Toeplitz operator on K_u."""
     a = as_matrix(space, operator)
-    if tol is None:
-        tol = DEFAULT_TOL_FACTOR * spectral_norm(a)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = VERDICT_TOL * spectral_norm(a)
     d = defect(space, a)
     k0 = space.k0.coords
     nk2 = float(np.real(np.vdot(k0, k0)))
-    pperp = np.eye(space.dim) - np.outer(k0, np.conj(k0)) / nk2
+    pperp = _off_k0_projector(space)
     residual = spectral_norm(pperp @ d @ pperp)
     phi = space.vector(d @ k0 / nk2)
     psi_raw = d.conj().T @ k0 / nk2
@@ -354,22 +362,21 @@ def is_tto(space: ModelSpace, operator, tol: float | None = None) -> DefectDecom
     return DefectDecomposition(bool(residual <= tol), residual, float(tol), phi, psi)
 
 
-def extract_symbol(space: ModelSpace, operator, tol: float | None = None) -> SymbolExpr:
+def extract_symbol(space: ModelSpace, operator) -> SymbolExpr:
     """Canonical K_u + conj(K_u) symbol of a truncated Toeplitz operator.
 
     The coanalytic part is normalized to vanish at 0, which pins down the
     otherwise one-parameter (phi, psi) ambiguity.  Raises NotATTO when the
     membership residual exceeds the tolerance.
     """
-    membership = is_tto(space, operator, tol)
+    membership = is_tto(space, operator)
     if not membership.passed:
         raise NotATTO(
             f"defect residual {membership.residual:.3e} exceeds {membership.tol:.3e}")
     return SymbolExpr(analytic=membership.phi, coanalytic=membership.psi)
 
 
-def symbols_equivalent(space: ModelSpace, first: SymbolExpr, second: SymbolExpr,
-                       tol_factor: float = DEFAULT_TOL_FACTOR) -> bool:
+def symbols_equivalent(space: ModelSpace, first: SymbolExpr, second: SymbolExpr) -> bool:
     """Do two symbols induce the same operator on K_u.
 
     Compares the built matrices; for standard-form symbols the structural
@@ -380,19 +387,17 @@ def symbols_equivalent(space: ModelSpace, first: SymbolExpr, second: SymbolExpr,
     a1 = build_tto(space, first).mat
     a2 = build_tto(space, second).mat
     scale = max(spectral_norm(a1), spectral_norm(a2), 1.0)
-    matrices_agree = spectral_norm(a1 - a2) <= tol_factor * scale
+    matrices_agree = spectral_norm(a1 - a2) <= VERDICT_TOL * scale
     if first.is_standard_form and second.is_standard_form:
-        structural = _structural_equivalence(space, first, second, tol_factor)
+        structural = _structural_equivalence(space, first, second)
         if structural != matrices_agree:
-            from .errors import NumericalFailure
-
             residual = spectral_norm(a1 - a2) / scale
             raise NumericalFailure(
                 f"symbol equivalence routes disagree (matrix residual {residual:.3e})")
     return matrices_agree
 
 
-def _structural_equivalence(space, first, second, tol_factor) -> bool:
+def _structural_equivalence(space, first, second) -> bool:
     k0 = space.k0.coords
     a1, c1 = (v.coords for v in first.standard_parts(space))
     a2, c2 = (v.coords for v in second.standard_parts(space))
@@ -404,7 +409,7 @@ def _structural_equivalence(space, first, second, tol_factor) -> bool:
     r1 = np.linalg.norm(d_ana - gamma * k0)
     r2 = np.linalg.norm(d_coa + np.conj(gamma) * k0)
     # generous factor: this guards conventions, not borderline tolerances
-    return bool(max(r1, r2) <= 100 * tol_factor * scale)
+    return bool(max(r1, r2) <= 100 * VERDICT_TOL * scale)
 
 
 # -- structural identities ----------------------------------------------------

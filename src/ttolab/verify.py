@@ -21,7 +21,8 @@ import numpy.polynomial.polynomial as npoly
 
 from . import classification, crofoot_clark, sampling
 from .errors import TTOLabError
-from .model_space import GRAM_TOL_FLOOR, ModelSpace
+from .model_space import ModelSpace
+from .tolerances import GRAM_TOL_FLOOR
 from .tto import (
     SymbolExpr,
     build_refined,

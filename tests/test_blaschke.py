@@ -115,6 +115,17 @@ def test_zero_near_boundary_rejected():
         BlaschkeProduct((0.5, 1 - 1e-13))
 
 
+@pytest.mark.parametrize("zeros, rotation", [
+    ((float("nan"),), 1.0),
+    ((0.5, complex(0.0, float("nan"))), 1.0),
+    ((float("inf"),), 1.0),
+    ((0.5,), float("nan")),
+], ids=["nan zero", "nan imaginary part", "infinite zero", "nan rotation"])
+def test_non_finite_input_rejected(zeros, rotation):
+    with pytest.raises(ValueError):
+        BlaschkeProduct(zeros, rotation)
+
+
 def test_empty_zeros_rejected():
     with pytest.raises(ValueError):
         BlaschkeProduct(())

@@ -157,3 +157,31 @@ def test_schema_error_zero_near_boundary(tmp_path, capsys):
     code, _, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
     assert code == 2
     assert "Blaschke" in err
+
+
+@pytest.mark.parametrize("problem", [
+    {"u": Z2, "tasks": [{"kind": "is_tto",
+                         "operator": {"matrix": [[[float("nan"), 0], [0, 0]],
+                                                 [[1, 0], [0, 0]]]}}]},
+    {"u": Z2, "tasks": [{"kind": "clark", "alpha": [float("nan"), 0.0]}]},
+    {"u": {"zeros": [[0.5, float("inf")]]}, "tasks": [{"kind": "verify_all"}]},
+], ids=["nan matrix entry", "nan alpha", "infinite zero"])
+def test_schema_error_non_finite_number(tmp_path, capsys, problem):
+    code, _, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
+    assert code == 2
+    assert "error:" in err and "finite" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--seed", "-1"),
+    ("--trials", "0"),
+    ("--tol-scale", "nan"),
+    ("--tol-scale", "-1"),
+    ("--tol-scale", "inf"),
+])
+def test_out_of_range_option_rejected(tmp_path, capsys, option, value):
+    problem = {"u": Z2, "tasks": [{"kind": "verify_all"}]}
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", write_problem(tmp_path, problem), option, value])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
