@@ -43,7 +43,6 @@ from .crofoot_clark import (
     classify_unitary,
     crofoot,
     crofoot_intertwine_check,
-    crofoot_norm_gap,
     disc_automorphism,
     fraction_invertibility_margin,
     functional_calculus,

@@ -48,6 +48,9 @@ class RationalPair:
     denominator: tuple[complex, ...]
 
     def __post_init__(self):
+        # before _trim, which would scale an infinite coefficient into the others
+        if not np.all(np.abs(np.hstack((self.numerator, self.denominator))) < np.inf):
+            raise ValueError("rational coefficients must be finite")
         object.__setattr__(self, "numerator", _trim(self.numerator))
         object.__setattr__(self, "denominator", _trim(self.denominator))
         if all(c == 0 for c in self.denominator):

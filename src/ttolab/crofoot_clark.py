@@ -9,9 +9,10 @@ K_{u_alpha} with the generalized shift S_alpha, T S' = S_alpha T, and transports
 every analytic symbol phi to the fraction symbol phi/(1 - alpha conj(u)).
 With I - S' S'^* = K'_0 (x) K'_0 this makes T the solution of the Stein equation
 T - S_alpha T S'^* = (T K'_0) (x) K'_0, and T K'_0 is a multiple of K_0, so T is
-built without circle quadrature.  Since the analytic operator A_phi on
-K_{u_alpha} is phi(S'), the fraction operator is phi(S_alpha): polynomial
-fraction symbols are built by Horner's rule on S_alpha.  Refined quadrature of
+built without circle quadrature; the transform keeps the unitarity residual
+that certifies it.  Since the analytic operator A_phi on K_{u_alpha} is phi(S'),
+the fraction operator is phi(S_alpha): polynomial fraction symbols are built by
+Horner's rule on S_alpha.  Refined quadrature of
 a fraction symbol stays only where it must be independent of that route or
 where no closed form exists: the source side and the conjugate side of
 crofoot_intertwine_check and the fraction_symbol check of the verify battery
@@ -21,7 +22,9 @@ For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
 boundary kernels, and spectral weights 1/|u'(zeta_j)| (the atoms of the Clark
 measure).  Unitary truncated Toeplitz operators are exactly the functions of
-one S_alpha that are unimodular at its spectrum.
+one S_alpha that are unimodular at its spectrum.  clark_data builds the n
+boundary kernels in one basis evaluation and keeps the orthonormality and
+eigen-relation residuals that certify them.
 """
 
 from __future__ import annotations
@@ -84,12 +87,16 @@ def level_set_blaschke(u: BlaschkeProduct, alpha) -> BlaschkeProduct:
 
 @dataclass(frozen=True, eq=False)
 class CrofootTransform:
-    """Unitary multiplication operator T: K_{u_alpha} -> K_u as a matrix."""
+    """Unitary multiplication operator T: K_{u_alpha} -> K_u as a matrix.
+
+    ``unitarity_residual`` is ||T^* T - I||, computed and bounded by crofoot.
+    """
 
     alpha: complex
     source: ModelSpace
     target: ModelSpace
     mat: np.ndarray
+    unitarity_residual: float
 
     def map_to_target(self, operator) -> TTOMatrix:
         """Conjugate an operator on K_{u_alpha} into one on K_u."""
@@ -136,7 +143,7 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     unitarity = spectral_norm(mat.conj().T @ mat - np.eye(space.dim))
     if unitarity > 1e-9:
         raise NumericalFailure(f"Crofoot matrix unitarity residual {unitarity:.3e}")
-    return CrofootTransform(alpha, source, space, mat)
+    return CrofootTransform(alpha, source, space, mat, unitarity)
 
 
 # -- fraction symbols -----------------------------------------------------------
@@ -175,15 +182,16 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     return TTOMatrix(acc, space)
 
 
-def reduce_mod_level_set(space: ModelSpace, phi, alpha) -> ModelVector:
+def reduce_mod_level_set(transform: CrofootTransform, phi) -> ModelVector:
     """Canonical representative of phi modulo the fraction-symbol kernel.
 
     Two analytic symbols give the same fraction operator iff u_alpha divides
     their difference, so the representative is the projection of phi onto
-    K_{u_alpha}, P phi = phi(S') K'_0, evaluated by Horner's rule on a vector.
+    K_{u_alpha}, the source space of the Crofoot transform at alpha:
+    P phi = phi(S') K'_0, evaluated by Horner's rule on a vector.
     """
     coeffs = _poly_coeffs(phi)
-    source = ModelSpace(level_set_blaschke(space.u, alpha))
+    source = transform.source
     s, k0, _ = source.u.shift_data
     acc = coeffs[-1] * k0
     for c in coeffs[-2::-1]:
@@ -204,38 +212,22 @@ class IntertwineReport:
         return max(self.residual_analytic, self.residual_conjugate, self.norm_gap)
 
 
-def _analytic_pair(transform: CrofootTransform, coeffs: np.ndarray):
-    """A^{u_alpha}_phi by quadrature on the source grid, phi(S_alpha) on K_u,
-    the residual scale and the relative gap between their norms."""
-    src = transform.source
-    a_src = build_from_grid_values(src, npoly.polyval(src.grid, coeffs))
-    rhs = build_clark_fraction_tto(transform.target, coeffs, transform.alpha).mat
-    scale = max(spectral_norm(rhs), 1.0)
-    norm_gap = abs(spectral_norm(a_src.mat) - spectral_norm(rhs)) / scale
-    return a_src, rhs, scale, norm_gap
-
-
-def crofoot_norm_gap(transform: CrofootTransform, phi) -> float:
-    """Relative gap between ||A^{u_alpha}_phi|| and ||A^u_{phi/(1 - alpha conj(u))}||.
-
-    The two operators are unitarily equivalent through the Crofoot transform,
-    so their norms agree; this is the ``norm_gap`` of crofoot_intertwine_check
-    without the two intertwining residuals.
-    """
-    return _analytic_pair(transform, _poly_coeffs(phi))[3]
-
-
 def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineReport:
     """Verify T A^{u_alpha}_phi T^* = A^u_{phi/(1 - alpha conj(u))} and its adjoint form.
 
-    The fraction operator is phi(S_alpha).  The adjoint residual is computed
-    from an independent quadrature of conj(phi)/(1 - conj(alpha) u), not by
-    transposing the first identity, and the norm gap compares the two
-    unitarily equivalent operator norms.
+    A^{u_alpha}_phi is the quadrature on the source grid and the fraction
+    operator is phi(S_alpha).  The adjoint residual is computed from an
+    independent quadrature of conj(phi)/(1 - conj(alpha) u), not by transposing
+    the first identity, and the norm gap compares the two unitarily equivalent
+    operator norms.
     """
     coeffs = _poly_coeffs(phi)
-    tgt = transform.target
-    a_src, rhs, scale, norm_gap = _analytic_pair(transform, coeffs)
+    src, tgt = transform.source, transform.target
+    a_src = build_from_grid_values(src, npoly.polyval(src.grid, coeffs))
+    rhs = build_clark_fraction_tto(tgt, coeffs, transform.alpha).mat
+    rhs_norm = spectral_norm(rhs)
+    scale = max(rhs_norm, 1.0)
+    norm_gap = abs(spectral_norm(a_src.mat) - rhs_norm) / scale
     lhs = transform.map_to_target(a_src).mat
     residual_analytic = spectral_norm(lhs - rhs) / scale
     abar = np.conj(transform.alpha)
@@ -288,6 +280,8 @@ class ClarkData:
     the Clark measure atoms 1/|u'(zeta_j)|, and ``eigenvectors`` the unitary
     matrix whose columns are the normalized boundary kernels (phases fixed by
     making the first nonnegligible coordinate positive real).
+    ``ortho_residual`` is ||V^* V - I|| and ``eigen_residual`` is
+    ||S_alpha V - V diag(points)||, both computed and bounded by clark_data.
     """
 
     alpha: complex
@@ -295,6 +289,8 @@ class ClarkData:
     weights: np.ndarray
     eigenvectors: np.ndarray
     space: ModelSpace
+    ortho_residual: float
+    eigen_residual: float
 
     @property
     def total_mass(self) -> float:
@@ -312,7 +308,10 @@ class ClarkData:
 def clark_data(space: ModelSpace, alpha) -> ClarkData:
     """Diagonalize the Clark unitary S_alpha at unimodular alpha.
 
-    Construction checks: eigenvector orthonormality and the eigen-relation
+    The eigenvectors are the boundary kernels at the points, evaluated in one
+    call, normalized and phase-fixed as arrays; they are not taken from an
+    eigensolver, so the eigen-relation is an independent check.  Construction
+    checks: eigenvector orthonormality and the eigen-relation
     S_alpha v_j = zeta_j v_j to 1e-8, and the total mass against
     ||K_0||^2 / |1 - conj(u(0)) alpha|^2 to 1e-8.
     """
@@ -326,13 +325,10 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
         raise NumericalFailure("angular derivative vanished at a Clark point")
     weights = 1.0 / np.abs(derivs)
     n = space.dim
-    vecs = np.empty((n, n), dtype=complex)
-    for j, zeta in enumerate(points):
-        v = space.kernel(zeta).coords.copy()
-        v /= np.linalg.norm(v)
-        lead = np.flatnonzero(np.abs(v) > 1e-12)[0]
-        v *= np.conj(v[lead]) / abs(v[lead])
-        vecs[:, j] = v
+    vecs = np.conj(space.basis_values_at(points))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
+    vecs *= np.conj(lead) / np.abs(lead)
     ortho = spectral_norm(vecs.conj().T @ vecs - np.eye(n))
     s_alpha = generalized_shift(space, alpha).mat
     eigen = spectral_norm(s_alpha @ vecs - vecs * points[None, :])
@@ -344,7 +340,7 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
         1.0 - np.conj(u0) * alpha) ** 2
     if abs(float(np.sum(weights)) - expected_mass) > 1e-8 * max(1.0, expected_mass):
         raise NumericalFailure("Clark measure mass disagrees with the kernel identity")
-    return ClarkData(alpha, points, weights, vecs, space)
+    return ClarkData(alpha, points, weights, vecs, space, ortho, eigen)
 
 
 def functional_calculus(data: ClarkData, values) -> TTOMatrix:

@@ -107,6 +107,10 @@ class RationalTerm:
     pair: RationalPair
     clark_alpha: complex | None = None
 
+    def __post_init__(self):
+        if self.clark_alpha is not None and not abs(self.clark_alpha) < np.inf:
+            raise ValueError("clark_alpha must be finite")
+
 
 @dataclass(frozen=True, eq=False)
 class SymbolExpr:

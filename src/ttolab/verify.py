@@ -15,6 +15,7 @@ pretending to have tested something.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -98,7 +99,7 @@ def _vacuous(reason: str):
 
 
 class _Verifier:
-    """Stateful runner: one rng, one space, shared expensive fixtures."""
+    """Stateful runner: one rng, one space, shared expensive fixtures built on first read."""
 
     def __init__(self, space: ModelSpace, seed: int, trials: int, tol_scale: float):
         self.space = space
@@ -106,7 +107,6 @@ class _Verifier:
         self.trials = max(1, int(trials))
         self.heavy_trials = max(2, self.trials // 10)
         self.tol_scale = float(tol_scale)
-        self._crofoot_cache = None
 
     # -- shared sampling helpers ----------------------------------------------
 
@@ -130,17 +130,29 @@ class _Verifier:
             return classification.rank_one_interior(sp, lam)[0].mat
         return sampling.sample_tto(sp, self.rng).mat
 
+    @cached_property
     def _crofoots(self):
         """Crofoot transforms are expensive (each builds a model space); reuse them."""
-        if self._crofoot_cache is None:
-            cache = []
-            for k in range(self.heavy_trials):
-                alpha = sampling.sample_disc_point(self.rng, radius=0.6)
-                if k == 0:
-                    alpha = 0.0 + 0.0j
-                cache.append(crofoot_clark.crofoot(self.space, alpha))
-            self._crofoot_cache = cache
-        return self._crofoot_cache
+        transforms = []
+        for k in range(self.heavy_trials):
+            alpha = sampling.sample_disc_point(self.rng, radius=0.6)
+            if k == 0:
+                alpha = 0.0 + 0.0j
+            transforms.append(crofoot_clark.crofoot(self.space, alpha))
+        return transforms
+
+    @cached_property
+    def _intertwine_reports(self):
+        """Three intertwining reports per Crofoot transform, shared by two checks."""
+        return [crofoot_clark.crofoot_intertwine_check(
+                    ct, sampling.sample_polynomial(self.rng, self.space.dim))
+                for ct in self._crofoots for _ in range(3)]
+
+    @cached_property
+    def _clarks(self):
+        """Clark decompositions at unimodular alphas drawn once, shared by the Clark checks."""
+        return [crofoot_clark.clark_data(self.space, sampling.sample_circle_point(self.rng))
+                for _ in range(max(2, self.trials // 4))]
 
     # -- fundamentals ----------------------------------------------------------
 
@@ -602,42 +614,28 @@ class _Verifier:
     # -- Crofoot transform ---------------------------------------------------------
 
     def check_crofoot_unitary(self):
-        worst = 0.0
-        for ct in self._crofoots():
-            gap = spectral_norm(ct.mat.conj().T @ ct.mat - np.eye(self.space.dim))
-            worst = max(worst, gap)
-        return worst, len(self._crofoots()), "weighted composition map is unitary"
+        worst = max(ct.unitarity_residual for ct in self._crofoots)
+        return worst, len(self._crofoots), "weighted composition map is unitary"
 
     def check_crofoot_shift_intertwine(self):
         sp = self.space
         worst = 0.0
-        for ct in self._crofoots():
+        for ct in self._crofoots:
             s_alpha = generalized_shift(sp, ct.alpha).mat
             s_src = compressed_shift(ct.source).mat
             gap = spectral_norm(ct.mat.conj().T @ s_alpha @ ct.mat - s_src)
             worst = max(worst, gap)
-        return worst, len(self._crofoots()), "T* S_alpha T is the shift downstairs"
+        return worst, len(self._crofoots), "T* S_alpha T is the shift downstairs"
 
     def check_crofoot_intertwining(self):
-        worst = 0.0
-        trials = 0
-        for ct in self._crofoots():
-            for _ in range(3):
-                coeffs = sampling.sample_polynomial(self.rng, self.space.dim)
-                rep = crofoot_clark.crofoot_intertwine_check(ct, coeffs)
-                worst = max(worst, rep.residual_analytic, rep.residual_conjugate)
-                trials += 1
-        return worst, trials, "T A_phi T* equals the fraction-symbol operator"
+        reports = self._intertwine_reports
+        worst = max(max(r.residual_analytic, r.residual_conjugate) for r in reports)
+        return worst, len(reports), "T A_phi T* equals the fraction-symbol operator"
 
     def check_norm_equality(self):
-        worst = 0.0
-        trials = 0
-        for ct in self._crofoots():
-            for _ in range(3):
-                coeffs = sampling.sample_polynomial(self.rng, self.space.dim)
-                worst = max(worst, crofoot_clark.crofoot_norm_gap(ct, coeffs))
-                trials += 1
-        return worst, trials, "operator norms agree across the transform"
+        reports = self._intertwine_reports
+        worst = max(r.norm_gap for r in reports)
+        return worst, len(reports), "operator norms agree across the transform"
 
     def check_fraction_symbol(self):
         sp = self.space
@@ -657,9 +655,9 @@ class _Verifier:
         for _ in range(self.trials):
             alpha = sampling.sample_disc_point(self.rng, radius=0.8)
             coeffs = sampling.sample_polynomial(self.rng, 2 * sp.dim + 1)
-            reduced = crofoot_clark.reduce_mod_level_set(sp, coeffs, alpha)
-            a = crofoot_clark.build_clark_fraction_tto(sp, coeffs, alpha)
             transform = crofoot_clark.crofoot(sp, alpha)
+            reduced = crofoot_clark.reduce_mod_level_set(transform, coeffs)
+            a = crofoot_clark.build_clark_fraction_tto(sp, coeffs, alpha)
             b = transform.map_to_target(build_tto(transform.source, SymbolExpr(analytic=reduced)))
             worst = max(worst, (a - b).norm() / max(1.0, a.norm()))
         return worst, self.trials, "symbols reduce modulo the level-set product"
@@ -703,78 +701,45 @@ class _Verifier:
 
     # -- Clark theory ----------------------------------------------------------------
 
-    def _clark_samples(self):
-        for _ in range(max(2, self.trials // 4)):
-            yield sampling.sample_circle_point(self.rng)
-
     def check_clark_points(self):
         sp = self.space
-        worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
-            worst = max(worst, float(np.max(np.abs(
-                np.asarray([sp.u.evaluate(p) for p in data.points]) - alpha))))
-            trials += 1
-        return worst, trials, "Clark points solve u = alpha on the circle"
+        worst = max(float(np.max(np.abs(sp.u.evaluate(data.points) - data.alpha)))
+                    for data in self._clarks)
+        return worst, len(self._clarks), "Clark points solve u = alpha on the circle"
 
     def check_clark_orthonormal(self):
-        sp = self.space
-        worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
-            v = data.eigenvectors
-            worst = max(worst, spectral_norm(v.conj().T @ v - np.eye(sp.dim)))
-            trials += 1
-        return worst, trials, "normalized boundary kernels form an orthonormal basis"
+        worst = max(data.ortho_residual for data in self._clarks)
+        return worst, len(self._clarks), "normalized boundary kernels form an orthonormal basis"
 
     def check_clark_eigen(self):
-        sp = self.space
-        worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
-            s_alpha = generalized_shift(sp, alpha).mat
-            gap = spectral_norm(s_alpha @ data.eigenvectors
-                                - data.eigenvectors * data.points[None, :])
-            worst = max(worst, gap)
-            trials += 1
-        return worst, trials, "S_alpha has the Clark points as unimodular eigenvalues"
+        worst = max(data.eigen_residual for data in self._clarks)
+        return worst, len(self._clarks), "S_alpha has the Clark points as unimodular eigenvalues"
 
     def check_clark_mass(self):
         sp = self.space
         u0 = sp.u.evaluate(0.0)
         nk2 = sp.k0.norm() ** 2
         worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
-            expect = nk2 / abs(1.0 - np.conj(u0) * alpha) ** 2
+        for data in self._clarks:
+            expect = nk2 / abs(1.0 - np.conj(u0) * data.alpha) ** 2
             worst = max(worst, abs(data.total_mass - expect) / expect)
-            trials += 1
-        return worst, trials, "total spectral mass matches the kernel identity"
+        return worst, len(self._clarks), "total spectral mass matches the kernel identity"
 
     def check_clark_reconstruction(self):
         sp = self.space
         worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
+        for data in self._clarks:
             rebuilt = crofoot_clark.functional_calculus(data, data.points).mat
             worst = max(worst,
-                        spectral_norm(generalized_shift(sp, alpha).mat - rebuilt))
-            trials += 1
-        return worst, trials, "S_alpha = V diag(points) V*"
+                        spectral_norm(generalized_shift(sp, data.alpha).mat - rebuilt))
+        return worst, len(self._clarks), "S_alpha = V diag(points) V*"
 
     def check_functional_calculus(self):
         sp = self.space
         worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
+        for data in self._clarks:
             coeffs = sampling.sample_polynomial(self.rng, sp.dim)
-            s_alpha = generalized_shift(sp, alpha).mat
+            s_alpha = generalized_shift(sp, data.alpha).mat
             direct = coeffs[0] * np.eye(sp.dim)
             power = np.eye(sp.dim)
             for ck in coeffs[1:]:
@@ -784,29 +749,24 @@ class _Verifier:
                 data, npoly.polyval(data.points, coeffs)).mat
             worst = max(worst,
                         spectral_norm(direct - via_clark) / max(1.0, spectral_norm(direct)))
-            trials += 1
-        return worst, trials, "polynomials in S_alpha act pointwise on the spectrum"
+        return worst, len(self._clarks), "polynomials in S_alpha act pointwise on the spectrum"
 
     def check_unitary_classification(self):
         sp = self.space
         worst = 0.0
-        trials = 0
-        for alpha in self._clark_samples():
-            data = crofoot_clark.clark_data(sp, alpha)
+        for k, data in enumerate(self._clarks):
             values = np.exp(2j * np.pi * self.rng.random(sp.dim))
             unitary = crofoot_clark.functional_calculus(data, values)
             verdict = crofoot_clark.classify_unitary(sp, unitary)
             if not verdict.unitary:
-                return 1.0, trials + 1, "a Clark unitary was rejected"
+                return 1.0, k + 1, "a Clark unitary was rejected"
             if sp.dim >= 2:
-                worst = max(worst, abs(verdict.alpha - alpha))
+                worst = max(worst, abs(verdict.alpha - data.alpha))
                 worst = max(worst, float(np.max(np.abs(verdict.values - values))))
             stretched = 2.0 * unitary.mat
             if crofoot_clark.classify_unitary(sp, stretched).unitary:
-                return 1.0, trials + 1, "a non-unitary operator was accepted"
-            trials += 1
-        return worst, trials, "unitary operators carry unimodular type and spectrum"
-
+                return 1.0, k + 1, "a non-unitary operator was accepted"
+        return worst, len(self._clarks), "unitary operators carry unimodular type and spectrum"
 
 CHECKS = (
     ("boundary_modulus", 1e-12, "check_boundary_modulus"),

@@ -154,3 +154,13 @@ def test_rational_pair_json_round_trip():
     back = RationalPair.from_json(json.loads(json.dumps(pair.to_json())))
     assert np.allclose(np.asarray(back.numerator), np.asarray(pair.numerator))
     assert np.allclose(np.asarray(back.denominator), np.asarray(pair.denominator))
+
+
+@pytest.mark.parametrize("numerator, denominator", [
+    ((complex(float("nan"), 0.0),), (1 + 0j,)),
+    ((1 + 0j,), (complex(float("inf"), 0.0), 1 + 0j)),
+    ((1 + 0j,), (1 + 0j, complex(0.0, float("nan")))),
+], ids=["nan numerator", "infinite denominator", "nan imaginary part"])
+def test_rational_pair_non_finite_rejected(numerator, denominator):
+    with pytest.raises(ValueError, match="finite"):
+        RationalPair(numerator, denominator)

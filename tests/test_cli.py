@@ -159,13 +159,28 @@ def test_schema_error_zero_near_boundary(tmp_path, capsys):
     assert "Blaschke" in err
 
 
+def _rational_symbol_task(numerator, denominator, clark_alpha=None):
+    term = {"pair": {"numerator": numerator, "denominator": denominator}}
+    if clark_alpha is not None:
+        term["clark_alpha"] = clark_alpha
+    return {"u": {"zeros": [[0.5, 0.0], [0.0, -0.3]]},
+            "tasks": [{"kind": "is_tto",
+                       "operator": {"symbol": {"rational_terms": [term]}}}]}
+
+
 @pytest.mark.parametrize("problem", [
     {"u": Z2, "tasks": [{"kind": "is_tto",
                          "operator": {"matrix": [[[float("nan"), 0], [0, 0]],
                                                  [[1, 0], [0, 0]]]}}]},
     {"u": Z2, "tasks": [{"kind": "clark", "alpha": [float("nan"), 0.0]}]},
     {"u": {"zeros": [[0.5, float("inf")]]}, "tasks": [{"kind": "verify_all"}]},
-], ids=["nan matrix entry", "nan alpha", "infinite zero"])
+    # an infinite denominator coefficient used to be scaled into a constant
+    # denominator, and the zero operator was reported as passed
+    _rational_symbol_task([[1, 0]], [[float("inf"), 0], [1, 0]]),
+    _rational_symbol_task([[float("nan"), 0]], [[1, 0]]),
+    _rational_symbol_task([[1, 0]], [[1, 0]], [float("nan"), 0]),
+], ids=["nan matrix entry", "nan alpha", "infinite zero", "infinite rational denominator",
+        "nan rational numerator", "nan clark_alpha"])
 def test_schema_error_non_finite_number(tmp_path, capsys, problem):
     code, _, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
     assert code == 2

@@ -29,6 +29,7 @@ from ttolab import (
     reduce_mod_level_set,
     sample_blaschke,
 )
+from ttolab.tto import spectral_norm
 
 
 def test_disc_automorphism_basics():
@@ -67,6 +68,7 @@ def test_crofoot_transform_is_unitary(pair_space, triple_space):
     for sp, alpha in ((pair_space, 0.3), (triple_space, -0.2 + 0.4j)):
         t = crofoot(sp, alpha)
         assert t.source.dim == sp.dim
+        assert t.unitarity_residual == spectral_norm(t.mat.conj().T @ t.mat - np.eye(sp.dim))
         assert np.max(np.abs(t.mat.conj().T @ t.mat - np.eye(sp.dim))) < 1e-9
         assert np.max(np.abs(t.mat @ t.mat.conj().T - np.eye(sp.dim))) < 1e-9
 
@@ -187,12 +189,14 @@ def test_fraction_vector_and_polynomial_routes_agree(triple_space):
 def test_reduce_mod_level_set(z2):
     # P z^3 on K_{u_alpha}, u_alpha zeros +-0.5: agrees with z^3 there, and with the
     # remainder of z^3 mod (z^2 - 0.25), which is 0.25 z
-    reduced = reduce_mod_level_set(z2, np.array([0.0, 0.0, 0.0, 1.0]), 0.25)
+    transform = crofoot(z2, 0.25)
+    reduced = reduce_mod_level_set(transform, np.array([0.0, 0.0, 0.0, 1.0]))
+    assert reduced.space is transform.source
     assert np.allclose(reduced.evaluate(np.array([0.5, -0.5])), [0.125, -0.125], atol=1e-12)
-    remainder = reduce_mod_level_set(z2, np.array([0.0, 0.25]), 0.25)
+    remainder = reduce_mod_level_set(transform, np.array([0.0, 0.25]))
     assert np.allclose(reduced.coords, remainder.coords, atol=1e-12)
     # low-degree polynomials keep their values on the level set
-    passthrough = reduce_mod_level_set(z2, np.array([1.0, 2.0]), 0.25)
+    passthrough = reduce_mod_level_set(transform, np.array([1.0, 2.0]))
     assert np.allclose(passthrough.evaluate(np.array([0.5, -0.5])), [2.0, 0.0])
 
 
@@ -200,9 +204,9 @@ def test_reduction_preserves_fraction_operator(triple_space):
     # phi(S_alpha) = T A_{P phi} T^* with P phi in K_{u_alpha}
     alpha = 0.3j
     coeffs = np.array([1.0, 0.5, -2.0, 1.0j, 0.25])
-    reduced = reduce_mod_level_set(triple_space, coeffs, alpha)
-    assert reduced.space.dim == 3
     transform = crofoot(triple_space, alpha)
+    reduced = reduce_mod_level_set(transform, coeffs)
+    assert reduced.space.dim == 3
     a = build_clark_fraction_tto(triple_space, coeffs, alpha).mat
     b = transform.map_to_target(build_tto(transform.source, SymbolExpr(analytic=reduced))).mat
     assert np.max(np.abs(a - b)) < 1e-9
@@ -279,6 +283,10 @@ def test_clark_eigenvectors_diagonalize_shift(triple_space):
     v = data.eigenvectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-9
     s = generalized_shift(triple_space, alpha).mat
+    # the stored construction residuals are the ones a fresh computation gives
+    assert data.ortho_residual == spectral_norm(v.conj().T @ v - np.eye(3))
+    assert data.eigen_residual == spectral_norm(
+        generalized_shift(triple_space, data.alpha).mat @ v - v * data.points[None, :])
     recon = v @ np.diag(data.points) @ v.conj().T
     assert np.max(np.abs(s - recon)) < 1e-9
 

@@ -63,18 +63,37 @@ def test_verify_tol_scale_tightens_bounds(z2):
 
 
 def test_norm_equality_matches_full_intertwine_check(triple_space, monkeypatch):
-    # norm_equality computes only the norm gap; on the same transforms and
-    # polynomials it must equal the norm_gap of the full intertwining check
-    seen = []
-    norm_gap = crofoot_clark.crofoot_norm_gap
+    # crofoot_intertwining and norm_equality read one shared set of
+    # 3 x heavy_trials intertwining reports, each taking its maximum over them
+    reports = []
+    check = crofoot_clark.crofoot_intertwine_check
 
     def recording(transform, phi):
-        seen.append((transform, np.array(phi)))
-        return norm_gap(transform, phi)
+        reports.append(check(transform, phi))
+        return reports[-1]
 
-    monkeypatch.setattr(crofoot_clark, "crofoot_norm_gap", recording)
+    monkeypatch.setattr(crofoot_clark, "crofoot_intertwine_check", recording)
     report = verify_space(triple_space, seed=5, trials=20)
-    residual = {c.name: c.max_residual for c in report.checks}["norm_equality"]
-    assert len(seen) == 3 * 2
-    assert residual == max(crofoot_clark.crofoot_intertwine_check(ct, coeffs).norm_gap
-                           for ct, coeffs in seen)
+    residual = {c.name: c.max_residual for c in report.checks}
+    assert len(reports) == 3 * 2  # heavy_trials = max(2, 20 // 10)
+    assert residual["norm_equality"] == max(r.norm_gap for r in reports)
+    assert residual["crofoot_intertwining"] == max(
+        max(r.residual_analytic, r.residual_conjugate) for r in reports)
+
+
+def test_clark_decompositions_built_once_per_run(triple_space, monkeypatch):
+    # the seven Clark checks share max(2, trials // 4) decompositions; the only
+    # other calls are the independent ones of classify_unitary, one per Clark
+    # unitary that unitary_classification accepts (the stretched one is refused
+    # before its type is read)
+    alphas = []
+    build = crofoot_clark.clark_data
+
+    def counting(space, alpha):
+        alphas.append(alpha)
+        return build(space, alpha)
+
+    monkeypatch.setattr(crofoot_clark, "clark_data", counting)
+    report = verify_space(triple_space, seed=5, trials=12)
+    assert report.passed
+    assert len(alphas) == 3 + 3
