@@ -87,6 +87,8 @@ def load_problem(path: str) -> dict:
         raise SchemaError('problem file needs "u" and "tasks" entries')
     if not isinstance(problem["tasks"], list) or not problem["tasks"]:
         raise SchemaError('"tasks" must be a non-empty list')
+    if "output" in problem and not (isinstance(problem["output"], str) and problem["output"]):
+        raise SchemaError(f'"output" must be a non-empty path string, got {problem["output"]!r}')
     return problem
 
 
@@ -229,10 +231,13 @@ def main(argv=None) -> int:
     }
     rendered = format_text(report) if args.text else canonical_json(report)
     print(rendered)
-    output = problem.get("output")
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report) + "\n")
+    if "output" in problem:
+        try:
+            with open(problem["output"], "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(report) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     return 0 if all_passed else 1
 
 

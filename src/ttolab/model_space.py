@@ -11,7 +11,10 @@ coordinates.  Quadrature oracles and rational symbols use the uniform trapezoid
 rule on the circle, whose error decays geometrically for rational integrands
 with poles off the circle.  The conjugation and the grid are built the first
 time they are read; the grid size is doubled until the basis Gram matrix is
-the identity to GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).
+the identity to GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  tto.build_refined
+starts from this certified grid and refines on nested grids: the N-point nodes
+are the even nodes of the 2N-point rule, so each doubling adds only the N odd
+ones.
 """
 
 from __future__ import annotations

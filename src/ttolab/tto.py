@@ -20,13 +20,13 @@ import numpy as np
 
 from .blaschke import RationalPair, stein_solve
 from .errors import NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SpaceMismatch
-from .model_space import (MAX_QUAD_POINTS, ModelSpace, ModelVector, circle_grid,
-                          same_space)
+from .model_space import MAX_QUAD_POINTS, ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
+    # LAPACK returns singular values in descending order
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 def outer(f: ModelVector, g: ModelVector) -> np.ndarray:
@@ -246,34 +246,41 @@ def build_from_grid_values(space: ModelSpace, values: np.ndarray) -> TTOMatrix:
     return TTOMatrix(mat, space)
 
 
+def _grid_sum(basis: np.ndarray, points, u_values, values_fn) -> np.ndarray:
+    """Unnormalised sum_j conj(e(z_j)) Phi(z_j) e(z_j)^T over one batch of nodes."""
+    vals = np.asarray(values_fn(points, u_values), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("symbol values are not finite on a refinement grid")
+    return basis.conj() @ (vals * basis).T
+
+
 def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
     """Compression of a symbol given as a callable values_fn(points, u_values).
 
-    The quadrature grid doubles until the compressed matrix moves by at most
-    1e-12 max(1, ||A||).  The
-    space's own grid is tuned to integrate basis products, which is not enough
-    for symbols whose poles approach the circle (rational terms, fraction
-    symbols whose level set sits near the boundary); the stopping rule
-    measures exactly the error such symbols add.
+    The trapezoid grid doubles until the compressed matrix moves by at most
+    1e-12 max(1, ||A||).  The space's own grid is tuned to integrate basis
+    products, which is not enough for symbols whose poles approach the circle
+    (rational terms, fraction symbols whose level set sits near the boundary);
+    the stopping rule measures exactly the error such symbols add.  The grids
+    are nested: the first level reads the space's certified grid, basis table
+    and u values, and each doubling from N to 2N points tabulates values_fn,
+    the basis and u only at the N new odd nodes exp(2 pi i (2j+1) / 2N),
+    adding their sum to the running unnormalised sum.
     """
     num = space.quad_points
-    prev = None
+    acc = _grid_sum(space.basis_values, space.grid, space.u_values, values_fn)
+    mat = acc / num
     while True:
-        pts = circle_grid(num)
-        u_vals = space.u.evaluate(pts)
-        vals = np.asarray(values_fn(pts, u_vals), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("symbol values are not finite on a refinement grid")
-        basis = space.basis_values_at(pts)
-        mat = basis.conj() @ (vals * basis).T / num
-        if prev is not None and spectral_norm(mat - prev) <= 1e-12 * max(
-                1.0, spectral_norm(mat)):
-            return TTOMatrix(mat, space)
         if num >= MAX_QUAD_POINTS:
             raise QuadratureError(
                 f"symbol compression still moving at {MAX_QUAD_POINTS} points")
-        prev = mat
+        pts = np.exp(2j * np.pi * (2 * np.arange(num) + 1) / (2 * num))
+        acc = acc + _grid_sum(space.basis_values_at(pts), pts, space.u.evaluate(pts),
+                              values_fn)
         num *= 2
+        prev, mat = mat, acc / num
+        if spectral_norm(mat - prev) <= 1e-12 * max(1.0, spectral_norm(mat)):
+            return TTOMatrix(mat, space)
 
 
 def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:

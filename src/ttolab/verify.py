@@ -680,7 +680,7 @@ class _Verifier:
             coeffs = None
             for _ in range(20):
                 cand = sampling.sample_polynomial(self.rng, sp.dim - 1)
-                margin = crofoot_clark.fraction_invertibility_margin(sp, cand, alpha)
+                margin = float(np.min(np.abs(npoly.polyval(zeros, cand))))
                 if margin > 1e-2 * max(1.0, float(np.linalg.norm(cand))):
                     coeffs = cand
                     break

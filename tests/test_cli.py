@@ -106,6 +106,25 @@ def test_output_file_written(tmp_path, capsys):
     assert json.loads(out_path.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("output", [True, 7, ""], ids=["true", "integer", "empty"])
+def test_schema_error_output_not_a_path(tmp_path, capsys, output):
+    # a non-string output used to be opened as a file descriptor
+    problem = {"u": Z2, "output": output,
+               "tasks": [{"kind": "clark", "alpha": [1.0, 0.0]}]}
+    code, out, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "output" in err
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    problem = {"u": Z2, "output": str(tmp_path / "absent" / "report.json"),
+               "tasks": [{"kind": "clark", "alpha": [1.0, 0.0]}]}
+    code, _, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
+    assert code == 2
+    assert "error:" in err and "output" in err
+
+
 def test_schema_error_missing_u(tmp_path, capsys):
     code, _, err = run(capsys, ["--input", write_problem(tmp_path, {"tasks": [{}]})])
     assert code == 2

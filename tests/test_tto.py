@@ -1,12 +1,15 @@
 import json
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from ttolab import (
     BlaschkeProduct,
     ModelSpace,
     NotATTO,
+    QuadratureError,
+    RationalPair,
     RationalTerm,
     SpaceMismatch,
     SymbolExpr,
@@ -25,9 +28,11 @@ from ttolab import (
     kernel_shift_identities,
     outer,
     sample_symbol,
+    sample_vector,
     symbol_from_json,
     symbols_equivalent,
 )
+from ttolab.model_space import MAX_QUAD_POINTS
 
 
 def test_constant_symbol_gives_identity(z2):
@@ -216,12 +221,118 @@ def test_build_tto_routes_rational_terms_through_refinement(z2):
     lam = 0.95
     # u/(z - lam) with u = z^2: numerator z^2, denominator z - lam
     num, den = (0j, 0j, 1 + 0j), (-lam + 0j, 1 + 0j)
-    from ttolab import RationalPair
-
     sym = SymbolExpr(rational_terms=(RationalTerm(RationalPair(num, den)),))
     built = build_tto(z2, sym).mat
     expected = outer(z2.conjugate_kernel(lam), z2.kernel(lam))
     assert np.max(np.abs(built - expected)) < 1e-9
+
+
+def _full_grid_refined(sp, values_fn):
+    """Refinement without nested grids: every level tabulates its whole grid.
+
+    Returns the matrix and the final grid size.  Each level is summed in
+    blocks of 4096 nodes only to bound the memory of the degree-128 tables.
+    """
+    num, prev = sp.quad_points, None
+    while True:
+        grid = circle_grid(num)
+        acc = 0
+        for start in range(0, num, 4096):
+            pts = grid[start:start + 4096]
+            basis = sp.basis_values_at(pts)
+            acc = acc + basis.conj() @ (values_fn(pts, sp.u.evaluate(pts)) * basis).T
+        mat = acc / num
+        if prev is not None and np.linalg.norm(mat - prev, 2) <= 1e-12 * max(
+                1.0, np.linalg.norm(mat, 2)):
+            return mat, num
+        assert num < MAX_QUAD_POINTS
+        prev, num = mat, 2 * num
+
+
+def _refinement_symbols(sp):
+    """values_fn of the symbols the verify oracles refine, and a rational build_tto symbol."""
+    rng = np.random.default_rng(7)
+    p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi = sample_vector(sp, rng)
+    lam, alpha = 0.9 * np.exp(0.4j), 0.8 * np.exp(-1.1j)
+    rational = SymbolExpr(rational_terms=(
+        RationalTerm(RationalPair((0.3, 1.0), (-0.85j, 1.0)), 0.6j),))
+    return {
+        "u p": lambda pts, uv: uv * npoly.polyval(pts, p),
+        "u/(z - lam)": lambda pts, uv: uv / (pts - lam),
+        "phi/(1 - alpha conj u)": lambda pts, uv: phi.evaluate(pts) / (1 - alpha * np.conj(uv)),
+        "conj p/(1 - conj(alpha) u)":
+            lambda pts, uv: np.conj(npoly.polyval(pts, p)) / (1 - np.conj(alpha) * uv),
+        # bound now, so that it survives a patched SymbolExpr.values_at
+        "rational build_tto": lambda pts, uv, values_at=rational.values_at: values_at(sp, pts, uv),
+    }, rational
+
+
+def _recording(values_fn):
+    batches = []
+
+    def recorded(pts, uv):
+        batches.append((pts, uv))
+        return values_fn(pts, uv)
+
+    return recorded, batches
+
+
+@pytest.mark.parametrize("symbol", ["u p", "u/(z - lam)", "phi/(1 - alpha conj u)",
+                                    "conj p/(1 - conj(alpha) u)", "rational build_tto"])
+def test_nested_refinement_matches_full_grids(stress_family, stress_spaces, symbol,
+                                              monkeypatch):
+    sp = stress_spaces[stress_family]
+    fns, rational = _refinement_symbols(sp)
+    ref, final = _full_grid_refined(sp, fns[symbol])
+    fn, batches = _recording(fns[symbol])
+    if symbol == "rational build_tto":
+        monkeypatch.setattr(SymbolExpr, "values_at",
+                            lambda self, space, pts, uv: fn(pts, uv))
+        mat = build_tto(sp, rational).mat
+    else:
+        mat = build_refined(sp, fn).mat
+    assert np.linalg.norm(mat - ref, 2) <= 1e-13 * max(1.0, np.linalg.norm(ref, 2))
+    assert sum(len(pts) for pts, _ in batches) == final
+
+
+@pytest.mark.parametrize("family", ["repeated 0.9 x8", "random 16"])
+def test_nested_refinement_tabulates_only_new_nodes(stress_spaces, family):
+    sp = stress_spaces[family]
+    fn, batches = _recording(_refinement_symbols(sp)[0]["phi/(1 - alpha conj u)"])
+    build_refined(sp, fn)
+    assert batches[0][0] is sp.grid and batches[0][1] is sp.u_values
+    sizes = [len(pts) for pts, _ in batches]
+    assert len(sizes) > 2
+    assert all(size == sum(sizes[:k]) for k, size in enumerate(sizes) if k)
+    total = sum(sizes)
+    # every node of the final grid appears in exactly one batch
+    pts = np.concatenate([pts for pts, _ in batches])
+    index = np.rint(np.angle(pts) * total / (2 * np.pi)).astype(int) % total
+    assert np.max(np.abs(pts - np.exp(2j * np.pi * index / total))) < 1e-12
+    assert np.array_equal(np.sort(index), np.arange(total))
+    for batch, uv in batches[1:]:
+        assert np.array_equal(uv, sp.u.evaluate(batch))
+
+
+def test_build_refined_gives_up_at_max_points(z2):
+    noise = np.random.default_rng(3)
+    fn, batches = _recording(lambda pts, uv: noise.standard_normal(pts.size))
+    with pytest.raises(QuadratureError, match="still moving"):
+        build_refined(z2, fn)
+    assert sum(len(pts) for pts, _ in batches) == MAX_QUAD_POINTS
+
+
+def test_build_refined_rejects_non_finite_later_batch(z2):
+    calls = []
+
+    def values_fn(pts, uv):
+        calls.append(pts.size)
+        return np.full(pts.size, np.nan if len(calls) > 1 else 1.0)
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        build_refined(z2, values_fn)
+    assert len(calls) == 2
 
 
 def test_symbol_json_round_trip(pair_space):

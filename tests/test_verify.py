@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ttolab import BlaschkeProduct, ModelSpace, crofoot_clark, verify_space
+from ttolab import BlaschkeProduct, ModelSpace, crofoot_clark, sample_blaschke, verify_space
+from ttolab.verify import _Verifier
 
 
 def test_verify_passes_on_monomial_space(z2):
@@ -97,3 +98,20 @@ def test_clark_decompositions_built_once_per_run(triple_space, monkeypatch):
     report = verify_space(triple_space, seed=5, trials=12)
     assert report.passed
     assert len(alphas) == 3 + 3
+
+
+def test_fraction_invertibility_solves_once_per_route(monkeypatch):
+    # per trial: the check's own solve of u = alpha, which also screens the
+    # candidates, and one inside each of the two invertibility_criterion calls
+    calls = []
+    solve = BlaschkeProduct.solve_equals
+
+    def counting(self, alpha):
+        calls.append(alpha)
+        return solve(self, alpha)
+
+    sp = ModelSpace(sample_blaschke(np.random.default_rng(16), 16))
+    monkeypatch.setattr(BlaschkeProduct, "solve_equals", counting)
+    residual, trials, _ = _Verifier(sp, 0, 4, 1.0).check_fraction_invertibility()
+    assert (residual, trials) == (0.0, 4)
+    assert len(calls) == 12
