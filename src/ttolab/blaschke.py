@@ -154,20 +154,19 @@ class BlaschkeProduct:
 
         Uses leave-one-out products, so it stays valid at the zeros of u
         (where the logarithmic-derivative form u * sum (1-|a|^2)/((z-a)(1-conj(a)z))
-        degenerates) and handles repeated zeros.
+        degenerates) and handles repeated zeros.  The products of the factors
+        before and after each zero are two cumulative products along the zero axis.
         """
         pts, scalar = _as_points(z)
         a = self._zero_arr
-        n = a.size
         den = 1.0 - np.conj(a) * pts[..., None]
         if np.any(np.abs(den) < POLE_TOL):
             raise PoleHit("Blaschke derivative at a reflected zero 1/conj(a)")
         factors = (pts[..., None] - a) / den
         pre = np.ones_like(factors)
         suf = np.ones_like(factors)
-        for k in range(1, n):
-            pre[..., k] = pre[..., k - 1] * factors[..., k - 1]
-            suf[..., n - 1 - k] = suf[..., n - k] * factors[..., n - k]
+        pre[..., 1:] = np.cumprod(factors[..., :-1], axis=-1)
+        suf[..., :-1] = np.cumprod(factors[..., :0:-1], axis=-1)[..., ::-1]
         terms = (1.0 - np.abs(a) ** 2) / den**2 * pre * suf
         vals = self.rotation * np.sum(terms, axis=-1)
         return complex(vals[0]) if scalar else vals

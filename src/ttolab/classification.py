@@ -25,6 +25,7 @@ from .errors import NotATTO, NumericalFailure, OutsideClosedDisc, SingularMatrix
 from .model_space import ModelSpace
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
+    DefectDecomposition,
     SymbolExpr,
     TTOMatrix,
     as_matrix,
@@ -99,12 +100,17 @@ def no_type_tag(residual: float) -> TypeTag:
     return TypeTag("none", None, residual)
 
 
-def _classification_data(space: ModelSpace, operator):
-    """Shared preprocessing: canonical symbol parts and their K_0-quotient images."""
+def _membership(space: ModelSpace, operator) -> DefectDecomposition:
+    """The defect test behind a classification, raising NotATTO when it fails."""
     membership = is_tto(space, operator)
     if not membership.passed:
         raise NotATTO(
             f"defect residual {membership.residual:.3e} exceeds {membership.tol:.3e}")
+    return membership
+
+
+def _classification_data(space: ModelSpace, membership: DefectDecomposition):
+    """Shared preprocessing: canonical symbol parts and their K_0-quotient images."""
     phi1, phi2 = membership.phi, membership.psi
     v1 = _project_off_k0(space, _shift_conjugate(space, phi1).coords)
     v2 = phi2.coords  # already normalized off K_0
@@ -120,10 +126,16 @@ def classify_type(space: ModelSpace, operator) -> TypeTag:
     conj(alpha), and NoType with the parallelism residual otherwise.  Raises
     NotATTO when the membership test fails.
     """
+    # every 1x1 matrix is a scalar, so no defect test is needed there
+    membership = _membership(space, operator) if space.dim > 1 else None
+    return _type_tag(space, operator, membership)
+
+
+def _type_tag(space: ModelSpace, operator, membership: DefectDecomposition | None) -> TypeTag:
+    """classify_type of an operator whose passed defect decomposition the caller holds."""
     if space.dim == 1:
-        a = as_matrix(space, operator)
-        return scalar_tag(a[0, 0])
-    phi1, phi2, v1, v2 = _classification_data(space, operator)
+        return scalar_tag(as_matrix(space, operator)[0, 0])
+    phi1, phi2, v1, v2 = _classification_data(space, membership)
     k0 = space.k0.coords
     scale = phi1.norm() + phi2.norm()
     if scale == 0.0:
@@ -154,7 +166,12 @@ def type_membership_residual(space: ModelSpace, operator, alpha) -> float:
     still reports as zero (an analytic symbol tested against alpha = 0 has
     both sides of the constraint at machine epsilon).
     """
-    phi1, phi2, v1, v2 = _classification_data(space, operator)
+    return _type_residual(space, _membership(space, operator), alpha)
+
+
+def _type_residual(space: ModelSpace, membership: DefectDecomposition, alpha) -> float:
+    """type_membership_residual from a passed defect decomposition the caller holds."""
+    phi1, phi2, v1, v2 = _classification_data(space, membership)
     scale = phi1.norm() + phi2.norm() + 1e-300
     if alpha is None:
         return float(np.linalg.norm(v1)) / scale
@@ -237,25 +254,27 @@ def product_classification(space: ModelSpace, left, right) -> ProductClassificat
     """
     a = as_matrix(space, left)
     b = as_matrix(space, right)
+    factors = []
     for mat, side in ((a, "left"), (b, "right")):
-        if not is_tto(space, mat).passed:
+        factor = is_tto(space, mat)
+        if not factor.passed:
             raise NotATTO(f"{side} factor fails the membership test")
-    tag_a = classify_type(space, a)
-    tag_b = classify_type(space, b)
+        factors.append(factor)
+    tag_a = _type_tag(space, a, factors[0])
+    tag_b = _type_tag(space, b, factors[1])
     prod = a @ b
     membership = is_tto(space, prod)
     if membership.passed:
-        tag_p = classify_type(space, prod)
+        tag_p = _type_tag(space, prod, membership)
         if tag_a.is_scalar or tag_b.is_scalar:
             return ProductClassification("trivial", None, tag_a, tag_b, tag_p,
                                          membership.residual)
         if not tag_a.compatible_with(tag_b):
             raise NumericalFailure(
                 "product passed membership but factors share no type")
-        shared = tag_a if not tag_a.is_scalar else tag_b
-        if not (tag_p.is_scalar or tag_p.compatible_with(shared)):
+        if not (tag_p.is_scalar or tag_p.compatible_with(tag_a)):
             raise NumericalFailure("product type differs from the shared factor type")
-        return ProductClassification("both_type", shared, tag_a, tag_b, tag_p,
+        return ProductClassification("both_type", tag_a, tag_a, tag_b, tag_p,
                                      membership.residual)
     if tag_a.is_scalar or tag_b.is_scalar:
         raise NumericalFailure("scalar-factor product failed the membership test")
@@ -359,13 +378,14 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[-1] <= VERDICT_TOL * svals[0]:
         raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
-    if not is_tto(space, a).passed:
+    given = is_tto(space, a)
+    if not given.passed:
         raise NotATTO("inverse_type_check input fails the membership test")
-    tag = classify_type(space, a)
+    tag = _type_tag(space, a, given)
     inv = np.linalg.inv(a)
     membership = is_tto(space, inv)
     if membership.passed:
-        inv_tag = classify_type(space, inv)
+        inv_tag = _type_tag(space, inv, membership)
         consistent = tag.is_typed and tag.compatible_with(inv_tag)
         if tag.kind == "alpha" and inv_tag.kind == "alpha":
             consistent = consistent and abs(tag.value - inv_tag.value) <= TYPE_TOL * (
@@ -397,9 +417,10 @@ def algebra_containment(space: ModelSpace, operators) -> AlgebraReport:
     mats = [as_matrix(space, op) for op in operators]
     tags = []
     for i, mat in enumerate(mats):
-        if not is_tto(space, mat).passed:
+        membership = is_tto(space, mat)
+        if not membership.passed:
             raise NotATTO(f"element {i} fails the membership test")
-        tags.append(classify_type(space, mat))
+        tags.append(_type_tag(space, mat, membership))
     non_scalar = [(i, t) for i, t in enumerate(tags) if not t.is_scalar]
     if not non_scalar:
         return AlgebraReport("scalar_algebra", None)

@@ -35,7 +35,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .blaschke import BlaschkeProduct, stein_solve
-from .classification import classify_type
+from .classification import _type_tag
 from .errors import (
     AlphaNotUnimodular,
     AlphaOnCircle,
@@ -378,12 +378,13 @@ def classify_unitary(space: ModelSpace, operator) -> UnitaryClassification:
     eigenbasis of S_alpha, asserting they are unimodular to VERDICT_TOL.
     """
     a = as_matrix(space, operator)
-    if not is_tto(space, a).passed:
+    membership = is_tto(space, a)
+    if not membership.passed:
         raise NotATTO("classify_unitary input fails the membership test")
     gap = spectral_norm(a.conj().T @ a - np.eye(space.dim))
     if gap > VERDICT_TOL * max(1.0, spectral_norm(a) ** 2):
         return UnitaryClassification(False, residual=gap)
-    tag = classify_type(space, a)
+    tag = _type_tag(space, a, membership)
     if tag.kind == "none" or tag.kind == "infinity":
         raise NumericalFailure(f"unitary operator classified as {tag.kind}")
     if tag.is_scalar:

@@ -246,12 +246,30 @@ def build_from_grid_values(space: ModelSpace, values: np.ndarray) -> TTOMatrix:
     return TTOMatrix(mat, space)
 
 
-def _grid_sum(basis: np.ndarray, points, u_values, values_fn) -> np.ndarray:
-    """Unnormalised sum_j conj(e(z_j)) Phi(z_j) e(z_j)^T over one batch of nodes."""
+# build_refined evaluates u, tabulates the basis and sums over blocks of this
+# many nodes, so a batch never holds its whole (n, N) table and the copies made
+# from it: at degree 128 one such table of 32768 nodes is 67 MB.
+REFINE_BLOCK = 4096
+
+
+def _blocks(size: int) -> list[slice]:
+    return [slice(start, start + REFINE_BLOCK) for start in range(0, size, REFINE_BLOCK)]
+
+
+def _grid_sum(space: ModelSpace, points, u_values, values_fn, basis=None) -> np.ndarray:
+    """Unnormalised sum_j conj(e(z_j)) Phi(z_j) e(z_j)^T over one batch of nodes.
+
+    values_fn sees the whole batch; the basis is tabulated (or read from
+    ``basis``, the table at ``points``) and summed block by block.
+    """
     vals = np.asarray(values_fn(points, u_values), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("symbol values are not finite on a refinement grid")
-    return basis.conj() @ (vals * basis).T
+    acc = 0
+    for block in _blocks(points.size):
+        e = space.basis_values_at(points[block]) if basis is None else basis[:, block]
+        acc = acc + e.conj() @ (vals[block] * e).T
+    return acc
 
 
 def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
@@ -265,18 +283,20 @@ def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
     are nested: the first level reads the space's certified grid, basis table
     and u values, and each doubling from N to 2N points tabulates values_fn,
     the basis and u only at the N new odd nodes exp(2 pi i (2j+1) / 2N),
-    adding their sum to the running unnormalised sum.
+    adding their sum to the running unnormalised sum.  values_fn is called once
+    per level with the whole batch; u, the basis and the sum are taken over
+    blocks of REFINE_BLOCK nodes, which bounds the memory of a batch.
     """
     num = space.quad_points
-    acc = _grid_sum(space.basis_values, space.grid, space.u_values, values_fn)
+    acc = _grid_sum(space, space.grid, space.u_values, values_fn, space.basis_values)
     mat = acc / num
     while True:
         if num >= MAX_QUAD_POINTS:
             raise QuadratureError(
                 f"symbol compression still moving at {MAX_QUAD_POINTS} points")
         pts = np.exp(2j * np.pi * (2 * np.arange(num) + 1) / (2 * num))
-        acc = acc + _grid_sum(space.basis_values_at(pts), pts, space.u.evaluate(pts),
-                              values_fn)
+        u_values = np.concatenate([space.u.evaluate(pts[block]) for block in _blocks(num)])
+        acc = acc + _grid_sum(space, pts, u_values, values_fn)
         num *= 2
         prev, mat = mat, acc / num
         if spectral_norm(mat - prev) <= 1e-12 * max(1.0, spectral_norm(mat)):

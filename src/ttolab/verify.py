@@ -285,9 +285,10 @@ class _Verifier:
         for _ in range(self.trials):
             sym = sampling.sample_symbol(sp, self.rng)
             a = build_tto(sp, sym)
-            back = build_tto(sp, extract_symbol(sp, a))
+            extracted = extract_symbol(sp, a)
+            back = build_tto(sp, extracted)
             worst = max(worst, (a - back).norm() / max(1.0, a.norm()))
-            if not symbols_equivalent(sp, sym, extract_symbol(sp, a)):
+            if not symbols_equivalent(sp, sym, extracted):
                 return 1.0, self.trials, "extracted symbol not equivalent to the input"
         return worst, self.trials, "build, extract, rebuild returns the same operator"
 
@@ -365,18 +366,20 @@ class _Verifier:
         for k in range(self.trials):
             if k % 5 == 4:
                 a = sampling.sample_typed_tto(sp, self.rng, None)
-                tag = classification.classify_type(sp, a)
+                membership = classification._membership(sp, a)
+                tag = classification._type_tag(sp, a, membership)
                 if tag.kind != "infinity":
                     return 1.0, self.trials, f"coanalytic symbol classified {tag.kind}"
-                worst = max(worst, classification.type_membership_residual(sp, a, None))
+                worst = max(worst, classification._type_residual(sp, membership, None))
                 continue
             alpha = self._typed_sample_alpha(k)
             a = sampling.sample_typed_tto(sp, self.rng, alpha)
-            tag = classification.classify_type(sp, a)
+            membership = classification._membership(sp, a)
+            tag = classification._type_tag(sp, a, membership)
             if tag.kind != "alpha":
                 return 1.0, self.trials, f"type {alpha:.3f} sample classified {tag.kind}"
             worst = max(worst, abs(tag.value - alpha) / (1.0 + abs(alpha)))
-            worst = max(worst, classification.type_membership_residual(sp, a, alpha))
+            worst = max(worst, classification._type_residual(sp, membership, alpha))
         return worst, self.trials, "typed symbols classify back to their type"
 
     def check_type_uniqueness(self):
@@ -388,8 +391,9 @@ class _Verifier:
             alpha = self._typed_sample_alpha(k)
             a = sampling.sample_typed_tto(sp, self.rng, alpha)
             beta = alpha + np.exp(2j * np.pi * self.rng.random())
-            good = classification.type_membership_residual(sp, a, alpha)
-            bad = classification.type_membership_residual(sp, a, beta)
+            membership = classification._membership(sp, a)
+            good = classification._type_residual(sp, membership, alpha)
+            bad = classification._type_residual(sp, membership, beta)
             worst = max(worst, good / max(bad, 1e-300))
         return worst, self.trials, "membership residual ratio right type / wrong type"
 

@@ -164,3 +164,36 @@ def test_rational_pair_json_round_trip():
 def test_rational_pair_non_finite_rejected(numerator, denominator):
     with pytest.raises(ValueError, match="finite"):
         RationalPair(numerator, denominator)
+
+
+def _derivative_loop(u, pts):
+    """u' from leave-one-out products built one factor at a time (prefix and suffix).
+
+    Also returns sum_k |term_k|, the scale of the rounding of the sum: where the
+    terms cancel (inside the disc near the circle, u' is far below its terms)
+    no summation order agrees with another to a relative precision of u' itself.
+    """
+    a = np.asarray(u.zeros)
+    n = a.size
+    den = 1.0 - np.conj(a) * pts[:, None]
+    factors = (pts[:, None] - a) / den
+    pre = np.ones_like(factors)
+    suf = np.ones_like(factors)
+    for k in range(1, n):
+        pre[:, k] = pre[:, k - 1] * factors[:, k - 1]
+        suf[:, n - 1 - k] = suf[:, n - k] * factors[:, n - k]
+    terms = (1.0 - np.abs(a) ** 2) / den**2 * pre * suf
+    return u.rotation * np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
+
+
+def test_derivative_matches_leave_one_out_loop(stress_family, stress_spaces):
+    u = stress_spaces[stress_family].u
+    rng = np.random.default_rng(u.degree)
+    radius = np.where(np.arange(64) % 2 == 0, 1.0, 0.95 * rng.random(64))
+    # the zeros of u, where the logarithmic form fails, and the repeated ones
+    pts = np.concatenate([radius * np.exp(2j * np.pi * rng.random(64)), u.zeros])
+    ref, scale = _derivative_loop(u, pts)
+    got = u.derivative(pts)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    if len(set(u.zeros)) < u.degree:  # u' vanishes exactly at a repeated zero
+        assert np.all(got[-u.degree:] == 0.0)

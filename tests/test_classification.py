@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttolab import classification, crofoot_clark, tto, verify
 from ttolab import (
     BlaschkeProduct,
     ModelSpace,
@@ -11,6 +12,7 @@ from ttolab import (
     analytic_symbol,
     build_tto,
     classify_type,
+    classify_unitary,
     coanalytic_symbol,
     commutant_check,
     commutant_residual,
@@ -295,3 +297,47 @@ def test_symbol_type_structure(pair_space):
     coanalytic_tag = classify_type(pair_space, build_tto(pair_space, coanalytic_symbol(f)))
     assert analytic_tag.kind == "alpha" and abs(analytic_tag.value) < 1e-9
     assert coanalytic_tag.kind == "infinity"
+
+
+@pytest.fixture()
+def defect_tests(monkeypatch):
+    """Records every is_tto call, under each module name that binds it."""
+    calls = []
+    original = tto.is_tto
+
+    def counting(space, operator):
+        calls.append(operator)
+        return original(space, operator)
+
+    for module in (tto, classification, crofoot_clark, verify):
+        monkeypatch.setattr(module, "is_tto", counting)
+    return calls
+
+
+def test_one_defect_test_per_operator(triple_space, defect_tests):
+    # classification reads the decomposition its caller's membership test made
+    rng = rng_from(53)
+    a = sample_typed_tto(triple_space, rng, 0.4j)
+    b = sample_typed_tto(triple_space, rng, 0.4j)
+    assert product_classification(triple_space, a, b).kind == "both_type"
+    assert len(defect_tests) == 3  # a, b, a b
+    shifted = a.mat + 3.0 * a.norm() * np.eye(3)
+    defect_tests.clear()
+    assert inverse_type_check(triple_space, shifted).inverse_is_tto
+    assert len(defect_tests) == 2  # the operator and its inverse
+    s_alpha = generalized_shift(triple_space, 0.3).mat
+    family = [np.eye(3), s_alpha, s_alpha @ s_alpha]
+    defect_tests.clear()
+    assert algebra_containment(triple_space, family).kind == "subalgebra"
+    assert len(defect_tests) == 3 + 3 ** 2  # the elements, then every product
+    defect_tests.clear()
+    assert classify_unitary(triple_space, generalized_shift(triple_space, 1j)).unitary
+    assert len(defect_tests) == 1
+
+
+@pytest.mark.parametrize("check", ["check_typed_membership", "check_type_uniqueness",
+                                   "check_membership_roundtrip"])
+def test_verify_checks_test_each_operator_once(triple_space, defect_tests, check):
+    residual, trials, _ = getattr(verify._Verifier(triple_space, 3, 5, 1.0), check)()
+    assert trials == 5 and residual < 1e-9
+    assert len(defect_tests) == trials

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ttolab import model_space
 from ttolab import (
     BlaschkeProduct,
     ModelSpace,
     OutsideClosedDisc,
+    PoleHit,
     SpaceMismatch,
     build_tto,
     circle_grid,
@@ -184,3 +186,32 @@ def test_vector_shape_validated(z2):
 def test_grid_values_match_pointwise_evaluation(pair_space):
     f = pair_space.vector([1.0, -2j])
     assert np.allclose(f.grid_values(), f.evaluate(pair_space.grid), atol=1e-13)
+
+
+def _mixed_points(count):
+    """Circle and interior points: the few-point callers evaluate both."""
+    rng = np.random.default_rng(count)
+    radius = np.where(np.arange(count) % 2 == 0, 1.0, 0.95 * rng.random(count))
+    return radius * np.exp(2j * np.pi * rng.random(count))
+
+
+def test_few_point_basis_matches_row_loop(stress_family, stress_spaces, monkeypatch):
+    sp = stress_spaces[stress_family]
+    assert sp.dim <= model_space.FEW_POINTS
+    for count in (1, 2, sp.dim, model_space.FEW_POINTS):
+        pts = _mixed_points(count)
+        few = sp.basis_values_at(pts)
+        with monkeypatch.context() as patched:
+            patched.setattr(model_space, "FEW_POINTS", 0)
+            rows = sp.basis_values_at(pts)
+        assert few.shape == rows.shape == (sp.dim, count)
+        assert np.all(np.abs(few - rows) <= 1e-14 * np.abs(rows))
+
+
+@pytest.mark.parametrize("few_points", [model_space.FEW_POINTS, 0])
+def test_both_basis_paths_raise_at_reflected_zero(stress_spaces, monkeypatch, few_points):
+    monkeypatch.setattr(model_space, "FEW_POINTS", few_points)
+    sp = stress_spaces["random 16"]
+    pole = 1.0 / np.conj(sp.u.zeros[5])
+    with pytest.raises(PoleHit):
+        sp.basis_values_at(np.array([0.3, pole, -0.2j]))

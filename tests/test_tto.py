@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -313,6 +314,23 @@ def test_nested_refinement_tabulates_only_new_nodes(stress_spaces, family):
     assert np.array_equal(np.sort(index), np.arange(total))
     for batch, uv in batches[1:]:
         assert np.array_equal(uv, sp.u.evaluate(batch))
+
+
+def test_build_refined_memory_is_bounded_by_blocks(stress_spaces):
+    # refines to 65536 points; its last batch of 32768 nodes held about 195 MiB
+    # of numpy memory when the whole (n, N) table, its conjugate and
+    # vals * basis were built at once
+    sp = stress_spaces["random 128"]
+    fn, batches = _recording(_refinement_symbols(sp)[0]["phi/(1 - alpha conj u)"])
+    sp.quad_points  # the space's own certified table is not the batch's
+    tracemalloc.start()
+    try:
+        build_refined(sp, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(len(pts) for pts, _ in batches) == 32768
+    assert peak <= 195 * 2**20 / 2
 
 
 def test_build_refined_gives_up_at_max_points(z2):
