@@ -6,13 +6,18 @@ canonical inner function with dim(H^2 ominus u H^2) = number of zeros, and all
 model-space machinery downstream is parameterized by one of these.
 
 The compressed shift S and the kernels K_0, Kt_0 of K_u have closed forms in
-the zeros (Garcia & Ross, arXiv:1108.1858), and the solutions of u = alpha are
-the spectrum of S_alpha (Clark, 1972), so u is never expanded into monomials.
-Operators built on the shift solve a two-sided Stein equation X - A X B = R.
+the zeros (Garcia & Ross, arXiv:1108.1858), so u is never expanded into
+monomials.  The solutions of u = alpha are the spectrum of S_alpha (Clark,
+1972).  Inside the disc they are found as its eigenvalues.  On the circle they
+are the n points where the unwrapped boundary phase of u, continuous and
+strictly increasing by 2 pi n per turn, meets arg(alpha) modulo 2 pi: n scalar
+root solves in known brackets, O(n^2) in all, with no eigensolver.  Operators
+built on the shift solve a two-sided Stein equation X - A X B = R.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -22,6 +27,8 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import PoleHit, RootSolveError
 from .tolerances import DISC_MARGIN, POLE_TOL
+
+_EPS = np.finfo(float).eps
 
 
 def _as_points(z):
@@ -197,9 +204,13 @@ class BlaschkeProduct:
     def solve_equals(self, alpha) -> np.ndarray:
         """All n solutions of u(z) = alpha for |alpha| <= 1, deterministically ordered.
 
-        They are the eigenvalues of S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0
-        built from ``shift_data``, polished by three Newton steps on the product
-        form of u (each kept only where it lowers the residual), and sorted by
+        Two routes.  On the circle (|alpha| within DISC_MARGIN of 1) the
+        solutions are the n points where the monotone boundary phase of u meets
+        arg(alpha) modulo 2 pi, found by ``_circle_preimages``.  Inside the disc
+        they are the eigenvalues of
+        S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0 built from
+        ``shift_data``, polished by three Newton steps on the product form of u
+        (each kept only where it lowers the residual).  Both are sorted by
         ascending principal argument with modulus as tie break.  For |alpha| = 1
         the roots are asserted unimodular to 1e-8, for |alpha| < 1 strictly
         interior, and every root must satisfy |u(root) - alpha| < 1e-9.
@@ -207,7 +218,10 @@ class BlaschkeProduct:
         alpha = complex(alpha)
         if abs(alpha) > 1.0 + DISC_MARGIN:
             raise ValueError("solve_equals requires |alpha| <= 1")
-        if alpha == 0:
+        on_circle = abs(abs(alpha) - 1.0) <= DISC_MARGIN
+        if on_circle:
+            roots = self._circle_preimages(alpha)
+        elif alpha == 0:
             roots = self._zero_arr.copy()
         else:
             s, k0, kt0 = self.shift_data
@@ -222,7 +236,7 @@ class BlaschkeProduct:
                     trial_res = self.evaluate(trial) - alpha
                     ok = np.abs(trial_res) < np.abs(res)
                     roots, res = np.where(ok, trial, roots), np.where(ok, trial_res, res)
-        if abs(abs(alpha) - 1.0) <= DISC_MARGIN:
+        if on_circle:
             if not np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-8:
                 raise RootSolveError("boundary preimages drifted off the unit circle")
         elif not np.all(np.abs(roots) < 1.0 + DISC_MARGIN):
@@ -232,6 +246,103 @@ class BlaschkeProduct:
             raise RootSolveError(f"root residual {residual:.3e} exceeds 1e-9")
         order = np.lexsort((np.abs(roots), np.angle(roots)))
         return roots[order]
+
+    def _circle_preimages(self, alpha) -> np.ndarray:
+        """The n solutions of u = alpha for unimodular alpha, from the boundary phase of u.
+
+        On the circle each factor of u is e^{i theta} w_k / conj(w_k) with
+        w_k = 1 - a_k e^{-i theta} and Re w_k > 0, so the unwrapped phase
+        Phi(theta) = arg(rotation) + n theta + 2 sum_k arg(w_k) has no branch
+        cut.  It rises by 2 pi n per turn at the rate
+        Phi'(theta) = |u'(e^{i theta})| = sum_k (1 - |a_k|^2) / |w_k|^2 > 0
+        (Clark 1972), so each solution is the one root of Phi(theta) = t_j for
+        the targets t_j = t_0 + 2 pi j, j < n, with t_0 the first value of
+        arg(alpha) + 2 pi Z at or above Phi at the smallest tabulated angle:
+        n targets in one turn give n distinct points.
+
+        Phi is tabulated on a uniform grid of 2 max(n, 64) cells over [-pi, pi],
+        one node past each end, plus, for each of the m zeros nearer the circle
+        than four cells, the preimages under its factor of max(8, 256 // m)
+        equally spaced points of the circle (staggered from zero to zero, so
+        repeated zeros add nodes).  Each root starts from cubic Hermite
+        interpolation of the inverse of Phi on the cell holding its target,
+        within a bracket one cell wider on each side because the tabulated
+        phase is only accurate to rounding, and takes Halley steps, bisecting
+        any step that leaves the bracket.  Within a radian of its target the
+        residual Phi - t_j is read from the product of the unimodular factors,
+        accurate to about eps / |w_k| per factor, where the phase sum carries
+        the rounding of numbers as large as n pi.  A root stops once its
+        residual is within an ulp of theta or within that rounding, or its
+        bracket is two adjacent floats; it keeps the angle last evaluated,
+        turned by its Newton correction held to one ulp.
+        """
+        a = self._zero_arr
+        n = a.size
+        a_col = a[:, None]
+        mass = 1.0 - (a_col * a_col.conj()).real
+
+        def phase(theta):
+            """e^{i theta}, w, |w|^2, the summands of Phi', Phi - arg(rotation) and Phi'."""
+            z = np.exp(1j * theta)
+            w = 1.0 - a_col @ z.conj()[None, :]  # an outer product, faster as a matmul
+            w2 = w.real * w.real + w.imag * w.imag
+            terms = mass / w2
+            return (z, w, w2, terms, n * theta + 2.0 * np.arctan2(w.imag, w.real).sum(axis=0),
+                    terms.sum(axis=0))
+
+        cells = max(n, 64)
+        spacing = np.pi / cells
+        nodes = [spacing * np.arange(-cells - 1, cells + 2)]
+        radius = np.abs(a)
+        near = 1.0 - radius < 4.0 * spacing
+        if near.any():
+            # b_k(e^{i theta}) = e^{i (arg a_k + 2 psi - pi)} at these angles
+            count = int(near.sum())
+            per = max(8, 256 // count)
+            psi = np.pi * (np.arange(per) + (np.arange(count)[:, None] + 0.5) / count) / per
+            ratio = ((1.0 - radius[near]) / (1.0 + radius[near]))[:, None]
+            graded = (np.angle(a[near])[:, None] - 2.0 * np.arctan(ratio / np.tan(psi))).ravel()
+            graded = np.concatenate((graded - 2.0 * np.pi, graded, graded + 2.0 * np.pi))
+            nodes.append(graded[np.abs(graded) <= np.pi + spacing])
+        grid = np.sort(np.concatenate(nodes))
+        table, table_slope = phase(grid)[4:]
+        # t_j - arg(rotation), to compare with phase()
+        targets = table[0] + 2.0 * np.pi * np.arange(n) + (
+            (cmath.phase(alpha) - cmath.phase(self.rotation) - table[0]) % (2.0 * np.pi))
+        cell = np.minimum(np.maximum(np.searchsorted(table, targets), 1), grid.size - 1)
+        left, width = grid[cell - 1], grid[cell] - grid[cell - 1]
+        rise = table[cell] - table[cell - 1]
+        s = np.minimum(np.maximum((targets - table[cell - 1]) / rise, 0.0), 1.0)
+        r = 1.0 - s
+        rate = rise / width
+        shape = s + s * r * (r * (rate / table_slope[cell - 1] - 1.0)
+                             - s * (rate / table_slope[cell] - 1.0))
+        theta = left + width * np.minimum(np.maximum(shape, 0.0), 1.0)
+        lo = grid[np.maximum(cell - 2, 0)]
+        hi = grid[np.minimum(cell + 1, grid.size - 1)]
+        turn = alpha.conjugate() * self.rotation / abs(alpha)
+        done = np.zeros(n, dtype=bool)
+        # a Halley step far from its root may divide by zero; the bracket discards it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for sweep in range(100):
+                z, w, w2, terms, value, slope = phase(theta)
+                residual = value - targets
+                wrapped = turn * (z * (w * w * (1.0 / w2))).prod(axis=0)
+                residual = np.where(np.abs(residual) < 1.0,
+                                    np.arctan2(wrapped.imag, wrapped.real), residual)
+                below = residual < 0.0
+                lo = np.where(below, theta, lo)
+                hi = np.where(below, hi, theta)
+                ulp = np.abs(np.spacing(theta))
+                rounding = _EPS * (1.0 / np.sqrt(w2)).sum(axis=0)
+                done |= (np.abs(residual) <= slope * ulp + rounding) | (np.nextafter(lo, hi) >= hi)
+                if done.all() or sweep == 99:
+                    break
+                bend = (terms * w.imag / w2).sum(axis=0)  # Phi'' = -2 bend
+                step = theta - residual / (slope + residual * bend / slope)
+                step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+                theta = np.where(done, theta, step)
+            return z * (1.0 - 1j * np.minimum(np.maximum(residual / slope, -ulp), ulp))
 
     def to_json(self):
         return {

@@ -321,28 +321,39 @@ def rank_one_interior(space: ModelSpace, lam) -> tuple[TTOMatrix, TypeTag]:
 
     Its symbol is u/(z - lambda), and it squares to u'(lambda) times itself.
     """
+    return _rank_one_interior(space, lam)[:2]
+
+
+def _rank_one_interior(space: ModelSpace, lam):
+    """rank_one_interior, plus the defect decomposition behind the tag (None at dim 1)."""
     lam = complex(lam)
     if abs(lam) >= 1.0 - DISC_MARGIN:
         raise OutsideClosedDisc("rank_one_interior needs |lambda| < 1")
-    kt = space.conjugate_kernel(lam)
-    k = space.kernel(lam)
-    op = TTOMatrix(outer(kt, k), space)
-    tag = classify_type(space, op)
-    _assert_rank_one_type(space, tag, space.u.evaluate(lam))
-    return op, tag
+    op = TTOMatrix(outer(space.conjugate_kernel(lam), space.kernel(lam)), space)
+    return _classified_rank_one(space, op, space.u.evaluate(lam))
 
 
 def rank_one_boundary(space: ModelSpace, zeta) -> tuple[TTOMatrix, TypeTag]:
     """Self-adjoint rank-one operator K_zeta (x) K_zeta for |zeta| = 1; type u(zeta)."""
+    return _rank_one_boundary(space, zeta)[:2]
+
+
+def _rank_one_boundary(space: ModelSpace, zeta):
+    """rank_one_boundary, plus the defect decomposition behind the tag (None at dim 1)."""
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > ON_CIRCLE_TOL:
         raise OutsideClosedDisc("rank_one_boundary needs |zeta| = 1")
     zeta /= abs(zeta)
     k = space.kernel(zeta)
-    op = TTOMatrix(outer(k, k), space)
-    tag = classify_type(space, op)
-    _assert_rank_one_type(space, tag, space.u.evaluate(zeta))
-    return op, tag
+    return _classified_rank_one(space, TTOMatrix(outer(k, k), space), space.u.evaluate(zeta))
+
+
+def _classified_rank_one(space, op, expected):
+    """(op, tag, membership): classify_type of op, asserted to be of type ``expected``."""
+    membership = _membership(space, op) if space.dim > 1 else None
+    tag = _type_tag(space, op, membership)
+    _assert_rank_one_type(space, tag, expected)
+    return op, tag, membership
 
 
 def _assert_rank_one_type(space, tag, expected):

@@ -36,6 +36,7 @@ from .classification import classify_type
 from .crofoot_clark import clark_data
 from .errors import NotATTO, SchemaError, TTOLabError
 from .model_space import ModelSpace
+from .tolerances import ON_CIRCLE_TOL
 from .tto import build_tto, extract_symbol, is_tto, symbol_from_json
 from .verify import verify_space
 
@@ -148,6 +149,8 @@ def run_task(space: ModelSpace, task, args) -> tuple[dict, bool]:
         if "alpha" not in task:
             raise SchemaError('clark task needs an "alpha" entry')
         alpha = _complex_pair(task["alpha"], "alpha")
+        if abs(abs(alpha) - 1.0) > ON_CIRCLE_TOL:
+            raise SchemaError(f"clark alpha must be unimodular, got |alpha| = {abs(alpha):.12g}")
         return {"kind": kind, "result": clark_data(space, alpha).to_json()}, True
     report = verify_space(space, seed=args.seed, trials=args.trials,
                           tol_scale=args.tol_scale)

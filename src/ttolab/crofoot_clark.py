@@ -22,9 +22,12 @@ For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
 boundary kernels, and spectral weights 1/|u'(zeta_j)| (the atoms of the Clark
 measure).  Unitary truncated Toeplitz operators are exactly the functions of
-one S_alpha that are unimodular at its spectrum.  clark_data builds the n
-boundary kernels in one basis evaluation and keeps the orthonormality and
-eigen-relation residuals that certify them.
+one S_alpha that are unimodular at its spectrum.  The spectrum is not taken
+from an eigensolver: solve_equals finds the points where the monotone boundary
+phase of u meets arg(alpha), so the eigen-relation S_alpha v_j = zeta_j v_j
+that clark_data certifies is an independent check of both.  clark_data builds
+the n boundary kernels in one basis evaluation and keeps the orthonormality
+and eigen-relation residuals that certify them.
 """
 
 from __future__ import annotations

@@ -379,14 +379,23 @@ class DefectDecomposition:
 
 
 def is_tto(space: ModelSpace, operator) -> DefectDecomposition:
-    """Defect membership test: is ``operator`` a truncated Toeplitz operator on K_u."""
+    """Defect membership test: is ``operator`` a truncated Toeplitz operator on K_u.
+
+    The threshold scales with ||A||, so a norm that is not finite would pass
+    any residual: raises NumericalFailure when ||A|| or the residual is not finite.
+    """
     a = as_matrix(space, operator)
-    tol = VERDICT_TOL * spectral_norm(a)
+    norm = spectral_norm(a) if np.isfinite(a).all() else np.nan
+    if not np.isfinite(norm):
+        raise NumericalFailure(f"operator norm {norm:.3e} is not finite")
+    tol = VERDICT_TOL * norm
     d = defect(space, a)
     k0 = space.k0.coords
     nk2 = float(np.real(np.vdot(k0, k0)))
     pperp = _off_k0_projector(space)
     residual = spectral_norm(pperp @ d @ pperp)
+    if not np.isfinite(residual):
+        raise NumericalFailure(f"defect residual {residual:.3e} is not finite")
     phi = space.vector(d @ k0 / nk2)
     psi_raw = d.conj().T @ k0 / nk2
     psi = space.vector(_project_off_k0(space, psi_raw))

@@ -34,6 +34,7 @@ from .tto import (
     generalized_shift,
     is_tto,
     kernel_shift_identities,
+    outer,
     spectral_norm,
     symbols_equivalent,
 )
@@ -127,7 +128,7 @@ class _Verifier:
             return generalized_shift(sp, sampling.sample_disc_point(self.rng)).mat
         if k % 5 == 2 and sp.dim >= 1:
             lam = sampling.sample_disc_point(self.rng, radius=0.8)
-            return classification.rank_one_interior(sp, lam)[0].mat
+            return outer(sp.conjugate_kernel(lam), sp.kernel(lam))
         return sampling.sample_tto(sp, self.rng).mat
 
     @cached_property
@@ -546,9 +547,10 @@ class _Verifier:
         worst = 0.0
         for k in range(self.trials):
             lam = 0.0 if k % 4 == 0 else sampling.sample_disc_point(self.rng, radius=0.8)
-            op, tag = classification.rank_one_interior(sp, lam)
+            op, tag, membership = classification._rank_one_interior(sp, lam)
             scale = max(1.0, op.norm())
-            worst = max(worst, is_tto(sp, op.mat).residual / scale)
+            membership = membership or is_tto(sp, op.mat)  # dim 1 classifies untested
+            worst = max(worst, membership.residual / scale)
             if sp.dim >= 2:  # at dim 1 the tag is the scalar value, not a type
                 worst = max(worst, abs(tag.value - sp.u.evaluate(lam)))
             du = sp.u.derivative(lam)
@@ -563,10 +565,11 @@ class _Verifier:
         worst = 0.0
         for _ in range(self.trials):
             zeta = sampling.sample_circle_point(self.rng)
-            op, tag = classification.rank_one_boundary(sp, zeta)
+            op, tag, membership = classification._rank_one_boundary(sp, zeta)
             scale = max(1.0, op.norm())
             worst = max(worst, spectral_norm(op.mat - op.mat.conj().T) / scale)
-            worst = max(worst, is_tto(sp, op.mat).residual / scale)
+            membership = membership or is_tto(sp, op.mat)  # dim 1 classifies untested
+            worst = max(worst, membership.residual / scale)
             if sp.dim >= 2:
                 worst = max(worst, abs(tag.value - sp.u.evaluate(zeta)))
             kz = sp.kernel(zeta)

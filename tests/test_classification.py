@@ -336,8 +336,17 @@ def test_one_defect_test_per_operator(triple_space, defect_tests):
 
 
 @pytest.mark.parametrize("check", ["check_typed_membership", "check_type_uniqueness",
-                                   "check_membership_roundtrip"])
+                                   "check_membership_roundtrip", "check_rank_one_interior",
+                                   "check_rank_one_boundary", "check_defect_rank_two"])
 def test_verify_checks_test_each_operator_once(triple_space, defect_tests, check):
+    # the rank-one checks read the residual of the test behind their classification
     residual, trials, _ = getattr(verify._Verifier(triple_space, 3, 5, 1.0), check)()
     assert trials == 5 and residual < 1e-9
     assert len(defect_tests) == trials
+
+
+def test_operator_pool_builds_rank_one_operators_untested(triple_space, defect_tests):
+    # five pool operators, one of them Kt_lam (x) K_lam, and no membership test
+    residual, trials, _ = verify._Verifier(triple_space, 3, 5, 1.0).check_c_symmetry()
+    assert trials == 5 and residual < 1e-9
+    assert defect_tests == []

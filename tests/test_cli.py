@@ -206,6 +206,29 @@ def test_schema_error_non_finite_number(tmp_path, capsys, problem):
     assert "error:" in err and "finite" in err
 
 
+@pytest.mark.parametrize("alpha", [[0.5, 0.0], [0.0, 0.0], [2.0, 0.0]],
+                         ids=["inside", "zero", "outside"])
+def test_schema_error_clark_alpha_off_circle(tmp_path, capsys, alpha):
+    # used to exit 1 as a numerical failure of clark_data
+    problem = {"u": Z2, "tasks": [{"kind": "clark", "alpha": alpha}]}
+    code, out, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "unimodular" in err
+
+
+@pytest.mark.parametrize("kind", ["is_tto", "classify"])
+def test_overflowing_operator_norm_is_a_numerical_failure(tmp_path, capsys, kind):
+    # the norm overflowed to inf, the threshold with it, and is_tto passed
+    huge = [[[1e308, 0.0]] * 2] * 2
+    problem = {"u": {"zeros": [[0.5, 0.0], [0.0, -0.3]]},
+               "tasks": [{"kind": kind, "operator": {"matrix": huge}}]}
+    code, out, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
+    assert code == 1
+    assert out == ""
+    assert "numerical failure:" in err and "not finite" in err
+
+
 @pytest.mark.parametrize("option, value", [
     ("--seed", "-1"),
     ("--trials", "0"),

@@ -1,8 +1,10 @@
 """Root solving, Clark data, Crofoot transforms and the operator core on the stress families.
 
 Each input below used to fail.  The roots of u = alpha came from the monomial
-expansion of u and missed their residual or the unit circle; they are now the
-spectrum of the closed-form S_alpha.  Operators and the conjugation came from
+expansion of u and missed their residual or the unit circle.  Inside the disc
+they are now the eigenvalues of the closed-form S_alpha; on the circle they
+come from the boundary phase of u, and the tests hold them to the eigenvalues
+of S_alpha written out entry by entry.  Operators and the conjugation came from
 the space's quadrature grid, which under-resolved them on repeated zeros near
 the circle; they are now Stein sums on the closed-form shift.  The fraction
 reduction took a remainder modulo the monomial expansion of u_alpha; it is now
@@ -42,6 +44,60 @@ def test_clark_data_on_stress_families(stress_spaces, family, alpha):
     data = clark_data(sp, alpha)
     assert np.max(np.abs(np.abs(data.points) - 1.0)) <= 1e-12
     assert np.max(np.abs(sp.u.evaluate(data.points) - alpha)) <= 1e-9
+
+
+def _closed_form_s_alpha(u, alpha):
+    """S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0, entry by entry from the zeros."""
+    a = np.asarray(u.zeros)
+    n = a.size
+    w = np.sqrt(1.0 - np.abs(a) ** 2)
+    s = np.diag(a)
+    for j in range(n):
+        for k in range(j):
+            s[j, k] = w[j] * w[k] * np.prod(-np.conj(a[k + 1:j]))
+    k0 = np.array([w[k] * np.prod(-np.conj(a[:k])) for k in range(n)])
+    kt0 = np.array([u.rotation * w[k] * np.prod(-a[k + 1:]) for k in range(n)])
+    gain = alpha / (1.0 - alpha * np.conj(u.evaluate(0.0)))
+    return s + gain * np.outer(k0, np.conj(kt0))
+
+
+def _check_circle_route(u):
+    # u(1) and u(-1) put a root on the seam of [-pi, pi]
+    for alpha in (1.0, -1.0, 1j, np.exp(0.7j), u.evaluate(1.0), u.evaluate(-1.0)):
+        roots = u.solve_equals(alpha)
+        assert roots.shape == (u.degree,)
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(u.degree)
+        assert np.min(gaps) > 1e-6
+        reference = np.linalg.eigvals(_closed_form_s_alpha(u, alpha))
+        match = np.abs(roots[:, None] - reference[None, :])
+        assert np.max(np.min(match, axis=1)) <= 1e-12
+        assert np.max(np.min(match, axis=0)) <= 1e-12
+        assert np.max(np.abs(u.evaluate(roots) - alpha)) <= 1e-12
+        assert np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-15
+        assert np.array_equal(roots, roots[np.lexsort((np.abs(roots), np.angle(roots)))])
+
+
+def test_circle_route_matches_clark_spectrum(stress_family, stress_spaces):
+    _check_circle_route(stress_spaces[stress_family].u)
+
+
+@pytest.mark.parametrize("seed, degree", [(640, 64), (1280, 128)])
+def test_circle_route_on_random_degrees(seed, degree):
+    _check_circle_route(sample_blaschke(np.random.default_rng(seed), degree))
+
+
+def test_circle_route_needs_no_eigensolver(stress_spaces, monkeypatch):
+    # boundary preimages come from the phase of u; only the interior route uses eigvals
+    def refuse(_):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for family in ("near circle 0.995 x8", "random 64"):
+        u = stress_spaces[family].u
+        roots = u.solve_equals(np.exp(0.7j))
+        assert np.max(np.abs(u.evaluate(roots) - np.exp(0.7j))) <= 1e-12
+        with pytest.raises(AssertionError, match="eigvals"):
+            u.solve_equals(0.5)
 
 
 @pytest.mark.parametrize("family, alpha", [

@@ -9,6 +9,7 @@ from ttolab import (
     BlaschkeProduct,
     ModelSpace,
     NotATTO,
+    NumericalFailure,
     QuadratureError,
     RationalPair,
     RationalTerm,
@@ -20,6 +21,7 @@ from ttolab import (
     build_tto,
     c_symmetry_residual,
     circle_grid,
+    classify_type,
     coanalytic_symbol,
     compressed_shift,
     defect,
@@ -136,6 +138,17 @@ def test_is_tto_rejects_single_entry_perturbation(z3):
     verdict = is_tto(z3, s)
     assert not verdict.passed
     assert verdict.residual > 1e-3
+
+
+@pytest.mark.parametrize("entry", [1e308, float("inf"), float("nan")],
+                         ids=["overflowing norm", "infinite entry", "nan entry"])
+def test_is_tto_refuses_non_finite_norm(pair_space, entry):
+    # an infinite norm made the threshold infinite, so every residual passed
+    mat = np.full((2, 2), entry, dtype=complex)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        is_tto(pair_space, mat)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        classify_type(pair_space, mat)
 
 
 def test_extract_symbol_round_trip(triple_space, rng):
