@@ -8,10 +8,13 @@ model-space machinery downstream is parameterized by one of these.
 The compressed shift S and the kernels K_0, Kt_0 of K_u have closed forms in
 the zeros (Garcia & Ross, arXiv:1108.1858), so u is never expanded into
 monomials.  The solutions of u = alpha are the spectrum of S_alpha (Clark,
-1972).  Inside the disc they are found as its eigenvalues.  On the circle they
-are the n points where the unwrapped boundary phase of u, continuous and
-strictly increasing by 2 pi n per turn, meets arg(alpha) modulo 2 pi: n scalar
-root solves in known brackets, O(n^2) in all, with no eigensolver.  Operators
+1972), but no eigensolver finds them.  On the circle they are the n points
+where the unwrapped boundary phase of u, continuous and strictly increasing by
+2 pi n per turn, meets arg(alpha) modulo 2 pi: n scalar root solves in known
+brackets.  Inside the disc each starts from a Clark point of alpha/|alpha|,
+moved inward by the slope of that phase, and Aberth-Ehrlich sweeps (Aberth
+1973; Bini & Robol 2014) run on the polynomial (u - alpha) prod_k (1 - conj(a_k) z),
+evaluated in product form.  Both routes cost O(n^2) per sweep.  Operators
 built on the shift solve a two-sided Stein equation X - A X B = R.
 """
 
@@ -29,6 +32,8 @@ from .errors import PoleHit, RootSolveError
 from .tolerances import DISC_MARGIN, POLE_TOL
 
 _EPS = np.finfo(float).eps
+# The interior route seeds from the Clark points of alpha/|alpha| times this.
+_SEED_TURN = cmath.exp(2j * cmath.pi / 1000)
 
 
 def _as_points(z):
@@ -204,77 +209,65 @@ class BlaschkeProduct:
     def solve_equals(self, alpha) -> np.ndarray:
         """All n solutions of u(z) = alpha for |alpha| <= 1, deterministically ordered.
 
-        Two routes.  On the circle (|alpha| within DISC_MARGIN of 1) the
-        solutions are the n points where the monotone boundary phase of u meets
-        arg(alpha) modulo 2 pi, found by ``_circle_preimages``.  Inside the disc
-        they are the eigenvalues of
-        S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0 built from
-        ``shift_data``, polished by three Newton steps on the product form of u
-        (each kept only where it lowers the residual).  Both are sorted by
-        ascending principal argument with modulus as tie break.  For |alpha| = 1
-        the roots are asserted unimodular to 1e-8, for |alpha| < 1 strictly
-        interior, and every root must satisfy |u(root) - alpha| < 1e-9.
+        Two routes, neither with an eigensolver.  On the circle (|alpha| within
+        DISC_MARGIN of 1) the solutions are the n points where the monotone
+        boundary phase of u meets arg(alpha) modulo 2 pi, found by
+        ``_circle_preimages``.  Inside the disc ``_interior_preimages`` starts
+        each solution from a Clark point of alpha/|alpha| moved inward and runs
+        Aberth-Ehrlich sweeps on the product form of u - alpha; for
+        |alpha| <= eps the solutions are the zeros of u, whose residual is
+        |alpha|.  Both are sorted by ascending principal argument with modulus
+        as tie break.  For |alpha| = 1 the roots are asserted unimodular to
+        1e-8, for |alpha| < 1 strictly interior, and every root must satisfy
+        |u(root) - alpha| < 1e-9; a RootSolveError names the route, the
+        degree, alpha, the sweeps taken and the worst residual.
         """
         alpha = complex(alpha)
         if abs(alpha) > 1.0 + DISC_MARGIN:
             raise ValueError("solve_equals requires |alpha| <= 1")
         on_circle = abs(abs(alpha) - 1.0) <= DISC_MARGIN
         if on_circle:
-            roots = self._circle_preimages(alpha)
-        elif alpha == 0:
-            roots = self._zero_arr.copy()
+            roots, sweeps = self._circle_preimages(alpha)
+        elif abs(alpha) <= _EPS:
+            roots, sweeps = self._zero_arr.copy(), 0
         else:
-            s, k0, kt0 = self.shift_data
-            gain = alpha / (1.0 - alpha * np.conj(self.evaluate(0.0)))
-            roots = np.linalg.eigvals(s + gain * np.outer(k0, np.conj(kt0)))
-            res = self.evaluate(roots) - alpha
-            # near a multiple zero u' can underflow: keep only finite steps that help
-            with np.errstate(all="ignore"):
-                for _ in range(3):
-                    trial = roots - res / self.derivative(roots)
-                    trial = np.where(np.isfinite(trial), trial, roots)
-                    trial_res = self.evaluate(trial) - alpha
-                    ok = np.abs(trial_res) < np.abs(res)
-                    roots, res = np.where(ok, trial, roots), np.where(ok, trial_res, res)
+            roots, sweeps = self._interior_preimages(alpha)
+        residual = np.max(np.abs(self.evaluate(roots) - alpha))
+        where = (f"{'circle' if on_circle else 'interior'} route, degree {self.degree}, "
+                 f"alpha {alpha}, {sweeps} sweeps, worst residual {residual:.3e}")
         if on_circle:
             if not np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-8:
-                raise RootSolveError("boundary preimages drifted off the unit circle")
+                raise RootSolveError(f"boundary preimages drifted off the unit circle ({where})")
         elif not np.all(np.abs(roots) < 1.0 + DISC_MARGIN):
-            raise RootSolveError("interior preimages escaped the unit disc")
-        residual = np.max(np.abs(self.evaluate(roots) - alpha))
+            raise RootSolveError(f"interior preimages escaped the unit disc ({where})")
         if not residual <= 1e-9:
-            raise RootSolveError(f"root residual {residual:.3e} exceeds 1e-9")
+            raise RootSolveError(f"root residual exceeds 1e-9 ({where})")
         order = np.lexsort((np.abs(roots), np.angle(roots)))
         return roots[order]
 
-    def _circle_preimages(self, alpha) -> np.ndarray:
-        """The n solutions of u = alpha for unimodular alpha, from the boundary phase of u.
+    def _boundary_phase(self, alpha):
+        """The boundary phase of u and a seed for each angle where it meets arg(alpha).
 
         On the circle each factor of u is e^{i theta} w_k / conj(w_k) with
         w_k = 1 - a_k e^{-i theta} and Re w_k > 0, so the unwrapped phase
         Phi(theta) = arg(rotation) + n theta + 2 sum_k arg(w_k) has no branch
         cut.  It rises by 2 pi n per turn at the rate
         Phi'(theta) = |u'(e^{i theta})| = sum_k (1 - |a_k|^2) / |w_k|^2 > 0
-        (Clark 1972), so each solution is the one root of Phi(theta) = t_j for
-        the targets t_j = t_0 + 2 pi j, j < n, with t_0 the first value of
-        arg(alpha) + 2 pi Z at or above Phi at the smallest tabulated angle:
-        n targets in one turn give n distinct points.
+        (Clark 1972), so each solution of u = alpha/|alpha| is the one root of
+        Phi(theta) = t_j for the targets t_j = t_0 + 2 pi j, j < n, with t_0 the
+        first value of arg(alpha) + 2 pi Z at or above Phi at the smallest
+        tabulated angle: n targets in one turn give n distinct points.
 
         Phi is tabulated on a uniform grid of 2 max(n, 64) cells over [-pi, pi],
         one node past each end, plus, for each of the m zeros nearer the circle
         than four cells, the preimages under its factor of max(8, 256 // m)
         equally spaced points of the circle (staggered from zero to zero, so
-        repeated zeros add nodes).  Each root starts from cubic Hermite
-        interpolation of the inverse of Phi on the cell holding its target,
-        within a bracket one cell wider on each side because the tabulated
-        phase is only accurate to rounding, and takes Halley steps, bisecting
-        any step that leaves the bracket.  Within a radian of its target the
-        residual Phi - t_j is read from the product of the unimodular factors,
-        accurate to about eps / |w_k| per factor, where the phase sum carries
-        the rounding of numbers as large as n pi.  A root stops once its
-        residual is within an ulp of theta or within that rounding, or its
-        bracket is two adjacent floats; it keeps the angle last evaluated,
-        turned by its Newton correction held to one ulp.
+        repeated zeros add nodes).  Each seed angle is cubic Hermite
+        interpolation of the inverse of Phi on the cell holding its target, and
+        its slope the linear interpolation of Phi' there.  Returns the function
+        ``phase``, the targets t_j - arg(rotation), the seed angles and slopes,
+        and brackets one cell wider than the seed's cell on each side, because
+        the tabulated phase is only accurate to rounding.
         """
         a = self._zero_arr
         n = a.size
@@ -306,7 +299,6 @@ class BlaschkeProduct:
             nodes.append(graded[np.abs(graded) <= np.pi + spacing])
         grid = np.sort(np.concatenate(nodes))
         table, table_slope = phase(grid)[4:]
-        # t_j - arg(rotation), to compare with phase()
         targets = table[0] + 2.0 * np.pi * np.arange(n) + (
             (cmath.phase(alpha) - cmath.phase(self.rotation) - table[0]) % (2.0 * np.pi))
         cell = np.minimum(np.maximum(np.searchsorted(table, targets), 1), grid.size - 1)
@@ -317,9 +309,27 @@ class BlaschkeProduct:
         rate = rise / width
         shape = s + s * r * (r * (rate / table_slope[cell - 1] - 1.0)
                              - s * (rate / table_slope[cell] - 1.0))
-        theta = left + width * np.minimum(np.maximum(shape, 0.0), 1.0)
+        shape = np.minimum(np.maximum(shape, 0.0), 1.0)
+        slope = table_slope[cell - 1] + shape * (table_slope[cell] - table_slope[cell - 1])
         lo = grid[np.maximum(cell - 2, 0)]
         hi = grid[np.minimum(cell + 1, grid.size - 1)]
+        return phase, targets, left + width * shape, slope, lo, hi
+
+    def _circle_preimages(self, alpha) -> tuple[np.ndarray, int]:
+        """The n solutions of u = alpha for unimodular alpha, and the sweeps taken.
+
+        Each root starts from its seed in ``_boundary_phase`` and takes Halley
+        steps on Phi(theta) = t_j, bisecting any step that leaves its bracket.
+        Within a radian of its target the residual Phi - t_j is read from the
+        product of the unimodular factors, accurate to about eps / |w_k| per
+        factor, where the phase sum carries the rounding of numbers as large as
+        n pi.  A root stops once its residual is within an ulp of theta or
+        within that rounding, or its bracket is two adjacent floats; it keeps
+        the angle last evaluated, turned by its Newton correction held to one
+        ulp.
+        """
+        phase, targets, theta, _, lo, hi = self._boundary_phase(alpha)
+        n = targets.size
         turn = alpha.conjugate() * self.rotation / abs(alpha)
         done = np.zeros(n, dtype=bool)
         # a Halley step far from its root may divide by zero; the bracket discards it
@@ -342,7 +352,76 @@ class BlaschkeProduct:
                 step = theta - residual / (slope + residual * bend / slope)
                 step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
                 theta = np.where(done, theta, step)
-            return z * (1.0 - 1j * np.minimum(np.maximum(residual / slope, -ulp), ulp))
+            return z * (1.0 - 1j * np.minimum(np.maximum(residual / slope, -ulp), ulp)), sweep + 1
+
+    def _interior_preimages(self, alpha) -> tuple[np.ndarray, int]:
+        """The n solutions of u = alpha for eps < |alpha| < 1, and the sweeps taken.
+
+        Seeds.  Near the circle log u(r e^{i theta}) is about
+        i Phi(theta) + Phi'(theta) log r, since z u'/u = Phi' on the circle, so
+        the solution on the gradient line of log|u| through a Clark point
+        e^{i theta_j} of alpha/|alpha| sits at log r_j = log|alpha| / Phi'(theta_j).
+        The seeds of ``_boundary_phase`` give theta_j and Phi'(theta_j) without
+        a Halley step.  The product of the n solutions has the modulus
+        |u(0) - alpha| / |1 - conj(u(0)) alpha| (the last over the first
+        coefficient of N below), so where the depths log r_j add up to less
+        than its logarithm, as for small |alpha| on zeros near the circle, they
+        are scaled down to add up to it.  The Clark points are those of
+        alpha/|alpha| turned by 2 pi / 1000 in phase: a seed on a line of
+        reflection symmetry of u = alpha (the real axis, for conjugate-closed
+        zeros and real alpha and rotation) stays on it under the sweeps, which
+        then stall until rounding breaks the symmetry.
+
+        Sweeps.  Aberth-Ehrlich sweeps run on N = Q (u - alpha), a polynomial
+        of degree n with Q = prod_k (1 - conj(a_k) z), whose Newton ratio
+        N'/N = Q'/Q + u'/(u - alpha) is read from the product form, with
+        u' = u sum_k (1 - |a_k|^2) / ((z - a_k)(1 - conj(a_k) z)), or from the
+        leave-one-out products of ``derivative`` where z is a zero of u, as it
+        can be to working precision for |alpha| near eps.  A root is frozen
+        after the sweep whose correction is within an ulp of it, or whose
+        residual |u - alpha| is within the rounding of the product form,
+        eps (|u| sum_k (4 + 2 |a_k z| / |1 - conj(a_k) z|) + |alpha|); frozen
+        roots keep repelling the others.  At most 100 sweeps.
+        """
+        a = self._zero_arr
+        n = a.size
+        _, _, theta, slope, _, _ = self._boundary_phase(alpha / abs(alpha) * _SEED_TURN)
+        depth = np.log(abs(alpha)) / slope
+        u0 = complex(self.rotation * np.prod(-a))
+        product = abs(u0 - alpha) / abs(1.0 - u0.conjugate() * alpha)
+        if product > 0.0:
+            depth *= min(1.0, np.log(product) / depth.sum())
+        roots = np.exp(depth + 1j * theta)
+        a_row = a[None, :]
+        ca_row = a_row.conj()
+        size_row = np.abs(a_row)
+        mass = 1.0 - size_row * size_row
+        active = np.arange(n)
+        # far from the solutions the sums may overflow; a non-finite step is not taken
+        with np.errstate(all="ignore"):
+            for sweep in range(1, 101):
+                z = roots[active]
+                modulus = np.abs(z)
+                offset = z[:, None] - a_row
+                den = 1.0 - z[:, None] @ ca_row  # an outer product, faster as a matmul
+                value = self.rotation * np.prod(offset / den, axis=1)
+                du = value * (mass / (offset * den)).sum(axis=1)
+                hit = value == 0.0
+                if hit.any():  # z is a zero of u, where only leave-one-out products give u'
+                    du[hit] = self.derivative(z[hit])
+                gap = value - alpha
+                newton = 1.0 / ((-ca_row / den).sum(axis=1) + du / gap)
+                diff = z[:, None] - roots[None, :]
+                diff[np.arange(active.size), active] = np.inf
+                step = newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
+                roots[active] = np.where(np.isfinite(step), z - step, z)
+                rounding = _EPS * (np.abs(value) * (4.0 * n + 2.0 * (
+                    modulus[:, None] * size_row / np.abs(den)).sum(axis=1)) + abs(alpha))
+                done = (np.abs(step) <= np.spacing(modulus)) | (np.abs(gap) <= rounding)
+                active = active[~done]
+                if active.size == 0:
+                    break
+        return roots, sweep
 
     def to_json(self):
         return {

@@ -27,7 +27,11 @@ from an eigensolver: solve_equals finds the points where the monotone boundary
 phase of u meets arg(alpha), so the eigen-relation S_alpha v_j = zeta_j v_j
 that clark_data certifies is an independent check of both.  clark_data builds
 the n boundary kernels in one basis evaluation and keeps the orthonormality
-and eigen-relation residuals that certify them.
+and eigen-relation residuals that certify them.  The Clark points also seed
+the interior solutions of u = alpha behind crofoot and the fraction checks:
+solve_equals moves each Clark point of alpha/|alpha| inward to modulus about
+|alpha|^{1/|u'(zeta_j)|} and runs Aberth-Ehrlich sweeps on the product form
+of u - alpha, again with no eigensolver.
 """
 
 from __future__ import annotations
@@ -71,12 +75,18 @@ def level_set_blaschke(u: BlaschkeProduct, alpha) -> BlaschkeProduct:
 
     Zeros are the preimages u = alpha; the rotation is fitted at a boundary
     anchor point well separated from the zeros and then normalized to modulus
-    one.
+    one.  An alpha so near the circle that a preimage lies within DISC_MARGIN
+    of it raises AlphaOnCircle.
     """
     alpha = complex(alpha)
     if abs(alpha) >= 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("level_set_blaschke requires |alpha| < 1")
     zeros = u.solve_equals(alpha)
+    gap = 1.0 - float(np.max(np.abs(zeros)))
+    if not gap > DISC_MARGIN:
+        raise AlphaOnCircle(
+            f"level_set_blaschke: |alpha| = 1 - {1.0 - abs(alpha):.3e} puts a solution of "
+            f"u = alpha {gap:.3e} from the unit circle, within the zero margin {DISC_MARGIN}")
     anchors = np.exp(2j * np.pi * np.arange(7) / 7)
     gaps = np.min(np.abs(anchors[:, None] - zeros[None, :]), axis=1)
     anchor = anchors[int(np.argmax(gaps))]

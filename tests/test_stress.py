@@ -1,10 +1,12 @@
 """Root solving, Clark data, Crofoot transforms and the operator core on the stress families.
 
 Each input below used to fail.  The roots of u = alpha came from the monomial
-expansion of u and missed their residual or the unit circle.  Inside the disc
-they are now the eigenvalues of the closed-form S_alpha; on the circle they
-come from the boundary phase of u, and the tests hold them to the eigenvalues
-of S_alpha written out entry by entry.  Operators and the conjugation came from
+expansion of u and missed their residual or the unit circle.  No eigensolver
+finds them now: on the circle they come from the boundary phase of u, inside
+the disc from Aberth-Ehrlich sweeps seeded at the Clark points.  The tests hold
+both routes to the eigenvalues of S_alpha written out entry by entry, and
+inside the disc also to Smith's inclusion discs, which stay certain where
+those eigenvalues are ill-conditioned.  Operators and the conjugation came from
 the space's quadrature grid, which under-resolved them on repeated zeros near
 the circle; they are now Stein sums on the closed-form shift.  The fraction
 reduction took a remainder modulo the monomial expansion of u_alpha; it is now
@@ -13,13 +15,14 @@ and the whole verify battery must pass on the stress corpus.
 """
 
 import functools
+import re
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ttolab import (BlaschkeProduct, ModelSpace, classify_type, clark_data, crofoot,
-                    sample_blaschke, sample_typed_tto, verify_space)
+from ttolab import (AlphaOnCircle, BlaschkeProduct, ModelSpace, RootSolveError, classify_type,
+                    clark_data, crofoot, sample_blaschke, sample_typed_tto, verify_space)
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -46,8 +49,9 @@ def test_clark_data_on_stress_families(stress_spaces, family, alpha):
     assert np.max(np.abs(sp.u.evaluate(data.points) - alpha)) <= 1e-9
 
 
-def _closed_form_s_alpha(u, alpha):
-    """S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0, entry by entry from the zeros."""
+@functools.lru_cache(maxsize=None)
+def _closed_form_shift(u):
+    """S, K_0 and Kt_0 entry by entry from the zeros."""
     a = np.asarray(u.zeros)
     n = a.size
     w = np.sqrt(1.0 - np.abs(a) ** 2)
@@ -57,8 +61,20 @@ def _closed_form_s_alpha(u, alpha):
             s[j, k] = w[j] * w[k] * np.prod(-np.conj(a[k + 1:j]))
     k0 = np.array([w[k] * np.prod(-np.conj(a[:k])) for k in range(n)])
     kt0 = np.array([u.rotation * w[k] * np.prod(-a[k + 1:]) for k in range(n)])
+    return s, k0, kt0
+
+
+def _closed_form_s_alpha(u, alpha):
+    """S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) Kt_0, entry by entry from the zeros."""
+    s, k0, kt0 = _closed_form_shift(u)
     gain = alpha / (1.0 - alpha * np.conj(u.evaluate(0.0)))
     return s + gain * np.outer(k0, np.conj(kt0))
+
+
+def _assert_match(roots, reference, tol):
+    match = np.abs(roots[:, None] - reference[None, :])
+    assert np.max(np.min(match, axis=1)) <= tol
+    assert np.max(np.min(match, axis=0)) <= tol
 
 
 def _check_circle_route(u):
@@ -68,10 +84,7 @@ def _check_circle_route(u):
         assert roots.shape == (u.degree,)
         gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(u.degree)
         assert np.min(gaps) > 1e-6
-        reference = np.linalg.eigvals(_closed_form_s_alpha(u, alpha))
-        match = np.abs(roots[:, None] - reference[None, :])
-        assert np.max(np.min(match, axis=1)) <= 1e-12
-        assert np.max(np.min(match, axis=0)) <= 1e-12
+        _assert_match(roots, np.linalg.eigvals(_closed_form_s_alpha(u, alpha)), 1e-12)
         assert np.max(np.abs(u.evaluate(roots) - alpha)) <= 1e-12
         assert np.max(np.abs(np.abs(roots) - 1.0)) <= 1e-15
         assert np.array_equal(roots, roots[np.lexsort((np.abs(roots), np.angle(roots)))])
@@ -86,18 +99,107 @@ def test_circle_route_on_random_degrees(seed, degree):
     _check_circle_route(sample_blaschke(np.random.default_rng(seed), degree))
 
 
-def test_circle_route_needs_no_eigensolver(stress_spaces, monkeypatch):
-    # boundary preimages come from the phase of u; only the interior route uses eigvals
-    def refuse(_):
-        raise AssertionError("eigvals called")
+def _inclusion_radii(u, alpha, roots):
+    """Radii n |W_j| of Smith's inclusion discs about the roots of N = Q (u - alpha).
+
+    W_j = N(z_j) / (c_n prod_{k != j} (z_j - z_k)) is the Weierstrass correction,
+    with c_n = rotation (1 - alpha conj(u(0))) the leading coefficient of N.  The
+    discs |z - z_j| <= n |W_j| cover the solutions, and a disc disjoint from the
+    others holds exactly one (B. T. Smith, J. ACM 17, 1970).
+    """
+    a = np.asarray(u.zeros)
+    dist = np.abs(roots[:, None] - roots[None, :]) + np.eye(roots.size)
+    log_w = (np.log(np.abs(u.evaluate(roots) - alpha))
+             + np.log(np.abs(1.0 - np.conj(a)[None, :] * roots[:, None])).sum(axis=1)
+             - np.log(dist).sum(axis=1) - np.log(abs(1.0 - alpha * np.conj(u.evaluate(0.0)))))
+    return roots.size * np.exp(log_w)
+
+
+# 2.2e-311 is subnormal; like every |alpha| <= eps it is answered by the zeros of u.
+# At 1e-15 some solutions round to zeros of u, where the sweeps read u' from
+# leave-one-out products.
+INTERIOR_MODULI = (2.2e-311, 1e-15, 1e-10, 1e-4, 0.3, 0.9, 1.0 - 1e-7)
+
+
+def _check_interior_route(u, alpha):
+    roots = u.solve_equals(alpha)
+    assert roots.shape == (u.degree,)
+    assert np.max(np.abs(u.evaluate(roots) - alpha)) <= 1e-12
+    assert np.all(np.abs(roots) < 1.0)
+    assert np.array_equal(roots, roots[np.lexsort((np.abs(roots), np.angle(roots)))])
+    if abs(alpha) <= np.finfo(float).eps:
+        # the zeros of u solve u = alpha to the residual |alpha|
+        assert np.array_equal(np.sort_complex(roots), np.sort_complex(np.asarray(u.zeros)))
+        return
+    with np.errstate(divide="ignore"):  # a residual of exactly 0 gives a disc of radius 0
+        radii = _inclusion_radii(u, alpha, roots)
+    gaps = np.abs(roots[:, None] - roots[None, :]) - radii[:, None] - radii[None, :]
+    assert np.max(radii) <= 1e-12
+    assert np.min(gaps + 3.0 * np.eye(u.degree)) > 0.0
+    # Below |alpha| = 1e-4 eigvals itself misses by up to 1e-7: there the
+    # eigenvalues of S_alpha are conditioned like 1/|u'| at the solutions, while
+    # the product form pins them to about |alpha|/|u'|; the discs above bound them.
+    if abs(alpha) >= 1e-4:
+        _assert_match(roots, np.linalg.eigvals(_closed_form_s_alpha(u, alpha)), 1e-12)
+
+
+@pytest.mark.parametrize("modulus", INTERIOR_MODULI)
+def test_interior_route_matches_generalized_shift(stress_family, stress_spaces, modulus):
+    _check_interior_route(stress_spaces[stress_family].u, modulus * np.exp(0.7j))
+
+
+def test_interior_route_on_symmetric_family(stress_spaces):
+    # conjugate-closed zeros and real alpha: the Clark points of 1 sit between the
+    # zeros, on lines of symmetry that the solutions avoid; seeds there stay on
+    # them until rounding breaks the symmetry (67 sweeps at alpha = 0.5).  At
+    # 1e-15 a sweep lands on zeros of u, which must still take a finite step.
+    u = stress_spaces["near circle 0.995 x8"].u
+    for alpha in (0.5, 0.3, -0.5, 1e-10, 1e-15):
+        _check_interior_route(u, alpha)
+        assert u._interior_preimages(alpha)[1] <= 8
+
+
+@pytest.mark.parametrize("seed, degree", [(641, 64), (1281, 128), (2561, 256)])
+@pytest.mark.parametrize("modulus", INTERIOR_MODULI)
+def test_interior_route_on_random_degrees(seed, degree, modulus):
+    _check_interior_route(sample_blaschke(np.random.default_rng(seed), degree),
+                          modulus * np.exp(2.1j))
+
+
+def test_no_route_needs_an_eigensolver(stress_spaces, monkeypatch):
+    # preimages come from the phase of u on the circle and from Aberth sweeps inside
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigensolver called")
 
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     for family in ("near circle 0.995 x8", "random 64"):
         u = stress_spaces[family].u
-        roots = u.solve_equals(np.exp(0.7j))
-        assert np.max(np.abs(u.evaluate(roots) - np.exp(0.7j))) <= 1e-12
-        with pytest.raises(AssertionError, match="eigvals"):
-            u.solve_equals(0.5)
+        for alpha in (np.exp(0.7j), 0.5, 0.3j, 1e-10):
+            roots = u.solve_equals(alpha)
+            assert roots.shape == (u.degree,)
+            assert np.max(np.abs(u.evaluate(roots) - alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, route", [(0.3j, "interior"), (np.exp(0.7j), "circle")],
+                         ids=["interior", "circle"])
+def test_root_solve_error_names_route(stress_spaces, monkeypatch, alpha, route):
+    # an evaluation off by 1e-6 fails the residual gate on either route
+    evaluate = BlaschkeProduct.evaluate
+    monkeypatch.setattr(BlaschkeProduct, "evaluate",
+                        lambda self, z: evaluate(self, z) + 1e-6)
+    with pytest.raises(RootSolveError) as info:
+        stress_spaces["random 16"].u.solve_equals(alpha)
+    message = str(info.value)
+    assert f"{route} route, degree 16, alpha {complex(alpha)}," in message
+    assert re.search(r", [1-9][0-9]* sweeps, worst residual 1\.000e-06", message), message
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-11, 5e-12])
+def test_crofoot_refuses_alpha_with_preimage_on_circle(stress_spaces, gap):
+    # the solutions of u = alpha sit 7e-13 to 4e-14 from the circle
+    with pytest.raises(AlphaOnCircle, match=f"1 - {gap:.3e} puts a solution of u = alpha"):
+        crofoot(stress_spaces["random 128"], 1.0 - gap)
 
 
 @pytest.mark.parametrize("family, alpha", [
