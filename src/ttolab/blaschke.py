@@ -223,7 +223,7 @@ class BlaschkeProduct:
         degree, alpha, the sweeps taken and the worst residual.
         """
         alpha = complex(alpha)
-        if abs(alpha) > 1.0 + DISC_MARGIN:
+        if not abs(alpha) <= 1.0 + DISC_MARGIN:
             raise ValueError("solve_equals requires |alpha| <= 1")
         on_circle = abs(abs(alpha) - 1.0) <= DISC_MARGIN
         if on_circle:

@@ -38,6 +38,7 @@ from .tto import (
     _off_k0_projector,
     _project_off_k0,
     _shift_conjugate,
+    _typed_symbol,
 )
 
 
@@ -308,9 +309,11 @@ def commutant_symbol(space: ModelSpace, operator, alpha) -> SymbolExpr:
     """
     a = as_matrix(space, operator)
     alpha = complex(alpha)
+    if not abs(alpha) <= 1.0 + DISC_MARGIN:
+        raise ValueError("commutant_symbol requires |alpha| <= 1")
     u0 = space.u.evaluate(0.0)
     phi = space.vector(a @ space.k0.coords / (1.0 - alpha * np.conj(u0)))
-    return SymbolExpr(analytic=phi, coanalytic=np.conj(alpha) * _shift_conjugate(space, phi))
+    return _typed_symbol(space, phi, alpha)
 
 
 # -- rank one -----------------------------------------------------------------
@@ -327,7 +330,7 @@ def rank_one_interior(space: ModelSpace, lam) -> tuple[TTOMatrix, TypeTag]:
 def _rank_one_interior(space: ModelSpace, lam):
     """rank_one_interior, plus the defect decomposition behind the tag (None at dim 1)."""
     lam = complex(lam)
-    if abs(lam) >= 1.0 - DISC_MARGIN:
+    if not abs(lam) < 1.0 - DISC_MARGIN:
         raise OutsideClosedDisc("rank_one_interior needs |lambda| < 1")
     op = TTOMatrix(outer(space.conjugate_kernel(lam), space.kernel(lam)), space)
     return _classified_rank_one(space, op, space.u.evaluate(lam))
@@ -341,7 +344,7 @@ def rank_one_boundary(space: ModelSpace, zeta) -> tuple[TTOMatrix, TypeTag]:
 def _rank_one_boundary(space: ModelSpace, zeta):
     """rank_one_boundary, plus the defect decomposition behind the tag (None at dim 1)."""
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > ON_CIRCLE_TOL:
+    if not abs(abs(zeta) - 1.0) <= ON_CIRCLE_TOL:
         raise OutsideClosedDisc("rank_one_boundary needs |zeta| = 1")
     zeta /= abs(zeta)
     k = space.kernel(zeta)

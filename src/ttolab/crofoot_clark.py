@@ -11,12 +11,13 @@ With I - S' S'^* = K'_0 (x) K'_0 this makes T the solution of the Stein equation
 T - S_alpha T S'^* = (T K'_0) (x) K'_0, and T K'_0 is a multiple of K_0, so T is
 built without circle quadrature; the transform keeps the unitarity residual
 that certifies it.  Since the analytic operator A_phi on K_{u_alpha} is phi(S'),
-the fraction operator is phi(S_alpha): polynomial fraction symbols are built by
-Horner's rule on S_alpha.  Refined quadrature of
-a fraction symbol stays only where it must be independent of that route or
-where no closed form exists: the source side and the conjugate side of
-crofoot_intertwine_check and the fraction_symbol check of the verify battery
-(oracles), and rational symbol terms in tto.build_tto.
+the fraction operator is phi(S_alpha), which commutes with S_alpha: a
+polynomial fraction symbol is built by build_tto from its type-alpha symbol,
+fixed by phi(S_alpha) K_0, which Horner's rule forms on a vector.  Refined
+quadrature of a fraction symbol stays only where it must be independent of
+that route or where no closed form exists: the source side and the conjugate
+side of crofoot_intertwine_check and the fraction_symbol check of the verify
+battery (oracles), and rational symbol terms in tto.build_tto.
 
 For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
@@ -52,7 +53,6 @@ from .errors import (
 from .model_space import ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
-    SymbolExpr,
     TTOMatrix,
     as_matrix,
     build_from_grid_values,
@@ -61,7 +61,7 @@ from .tto import (
     generalized_shift,
     is_tto,
     spectral_norm,
-    _shift_conjugate,
+    _typed_symbol,
 )
 
 
@@ -79,7 +79,7 @@ def level_set_blaschke(u: BlaschkeProduct, alpha) -> BlaschkeProduct:
     of it raises AlphaOnCircle.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - DISC_MARGIN:
+    if not abs(alpha) < 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("level_set_blaschke requires |alpha| < 1")
     zeros = u.solve_equals(alpha)
     gap = 1.0 - float(np.max(np.abs(zeros)))
@@ -141,7 +141,7 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     unitary to 1e-9.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - DISC_MARGIN:
+    if not abs(alpha) < 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("crofoot requires |alpha| < 1")
     u_alpha = level_set_blaschke(space.u, alpha)
     drift = float(np.max(np.abs(u_alpha.evaluate(DRIFT_POINTS) - disc_automorphism(
@@ -164,35 +164,39 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
 
 def _poly_coeffs(phi) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(phi, dtype=complex))
-    if arr.ndim != 1:
-        raise ValueError("polynomial symbols must be 1-d ascending coefficients")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("polynomial symbols must be nonempty 1-d ascending coefficients")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("polynomial coefficients must be finite")
     return arr
+
+
+def _horner_k0(s: np.ndarray, k0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """phi(S) K_0 by Horner's rule on a vector: d products of S with a vector."""
+    acc = coeffs[-1] * k0
+    for c in coeffs[-2::-1]:
+        acc = s @ acc + c * k0
+    return acc
 
 
 def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     """A_{phi/(1 - alpha conj(u))} for analytic phi and interior alpha.
 
     For phi given as a K_u vector the equivalent standard symbol
-    phi + alpha conj(S C phi) is built exactly.  For polynomial coefficients
-    the operator is phi(S_alpha), evaluated by Horner's rule on the generalized
-    shift: the Crofoot transform carries A_phi = phi(S) on K_{u_alpha} to the
-    fraction operator and S to S_alpha.  Any degree is accepted; degrees at or
-    above n give the same operator as their remainder modulo u_alpha.
+    phi + alpha conj(S C phi) is built exactly.  Polynomial coefficients give
+    phi(S_alpha), which commutes with S_alpha and so is that build for the
+    vector chi = phi(S_alpha) K_0 / (1 - alpha conj(u(0))), formed by Horner's
+    rule on a vector.  Any degree is accepted; degrees at or above n give the
+    same operator as their remainder modulo u_alpha.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - DISC_MARGIN:
+    if not abs(alpha) < 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("fraction symbols need |alpha| < 1")
-    if isinstance(phi, ModelVector):
-        return build_tto(space, SymbolExpr(
-            analytic=phi, coanalytic=np.conj(alpha) * _shift_conjugate(space, phi)))
-    coeffs = _poly_coeffs(phi)
-    s_alpha = generalized_shift(space, alpha).mat
-    acc = np.diag(np.full(space.dim, coeffs[-1]))
-    diag = np.diag_indices(space.dim)
-    for c in coeffs[-2::-1]:
-        acc = acc @ s_alpha
-        acc[diag] += c
-    return TTOMatrix(acc, space)
+    if not isinstance(phi, ModelVector):
+        s_alpha = generalized_shift(space, alpha).mat
+        chi = _horner_k0(s_alpha, space.k0.coords, _poly_coeffs(phi))
+        phi = space.vector(chi / (1.0 - alpha * np.conj(space.u.evaluate(0.0))))
+    return build_tto(space, _typed_symbol(space, phi, alpha))
 
 
 def reduce_mod_level_set(transform: CrofootTransform, phi) -> ModelVector:
@@ -203,13 +207,9 @@ def reduce_mod_level_set(transform: CrofootTransform, phi) -> ModelVector:
     K_{u_alpha}, the source space of the Crofoot transform at alpha:
     P phi = phi(S') K'_0, evaluated by Horner's rule on a vector.
     """
-    coeffs = _poly_coeffs(phi)
     source = transform.source
     s, k0, _ = source.u.shift_data
-    acc = coeffs[-1] * k0
-    for c in coeffs[-2::-1]:
-        acc = s @ acc + c * k0
-    return source.vector(acc)
+    return source.vector(_horner_k0(s, k0, _poly_coeffs(phi)))
 
 
 @dataclass(frozen=True)
@@ -255,10 +255,10 @@ def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineRepo
 def multiplicativity_check(space: ModelSpace, phi, psi, alpha) -> float:
     """Relative residual of A_{phi/(1-a conj u)} A_{psi/(1-a conj u)} = A_{phi psi/(1-a conj u)}.
 
-    All three operators are built as polynomials in S_alpha, so the residual
-    measures the rounding of Horner's rule and of the matrix products, not a
-    quadrature error.  That the Horner route is the compressed fraction symbol
-    is checked apart, against quadrature, by crofoot_intertwine_check.
+    All three operators are built by vector Horner and the Stein solve, so the
+    residual measures their rounding and that of the matrix product, not a
+    quadrature error.  That this route is the compressed fraction symbol is
+    checked apart, against quadrature, by crofoot_intertwine_check.
     """
     phi = _poly_coeffs(phi)
     psi = _poly_coeffs(psi)
@@ -329,7 +329,7 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     ||K_0||^2 / |1 - conj(u(0)) alpha|^2 to 1e-8.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > ON_CIRCLE_TOL:
+    if not abs(abs(alpha) - 1.0) <= ON_CIRCLE_TOL:
         raise AlphaNotUnimodular(f"|alpha| = {abs(alpha):.12f}")
     alpha /= abs(alpha)
     points = space.u.solve_equals(alpha)

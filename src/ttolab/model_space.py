@@ -146,7 +146,7 @@ class ModelSpace:
     def kernel(self, lam) -> "ModelVector":
         """Reproducing kernel K_lam, valid on the closed unit disc."""
         lam = complex(lam)
-        if abs(lam) > 1.0 + DISC_MARGIN:
+        if not abs(lam) <= 1.0 + DISC_MARGIN:
             raise OutsideClosedDisc(f"|lambda| = {abs(lam):.6f} > 1")
         coords = np.conj(self.basis_values_at(lam)[:, 0])
         return self.vector(coords)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .model_space import ModelSpace, ModelVector
-from .tto import SymbolExpr, TTOMatrix, build_tto, _project_off_k0, _shift_conjugate
+from .tto import SymbolExpr, TTOMatrix, build_tto, _project_off_k0, _shift_conjugate, _typed_symbol
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -55,9 +55,7 @@ def sample_typed_symbol(space: ModelSpace, rng, alpha) -> SymbolExpr:
     const = complex(rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
     if alpha is None:
         return SymbolExpr(coanalytic=phi, constant=const)
-    sc_phi = _shift_conjugate(space, phi)
-    return SymbolExpr(analytic=phi, coanalytic=np.conj(complex(alpha)) * sc_phi,
-                      constant=const)
+    return _typed_symbol(space, phi, alpha, const)
 
 
 def sample_typed_tto(space: ModelSpace, rng, alpha) -> TTOMatrix:

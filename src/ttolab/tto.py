@@ -324,7 +324,7 @@ def compressed_shift(space: ModelSpace) -> TTOMatrix:
 def generalized_shift(space: ModelSpace, alpha) -> TTOMatrix:
     """S_alpha = S + alpha/(1 - alpha conj(u(0))) K_0 (x) conjugate-K_0, |alpha| <= 1."""
     alpha = complex(alpha)
-    if abs(alpha) > 1.0 + DISC_MARGIN:
+    if not abs(alpha) <= 1.0 + DISC_MARGIN:
         raise ValueError("generalized shift requires |alpha| <= 1")
     u0 = space.u.evaluate(0.0)
     gain = alpha / (1.0 - alpha * np.conj(u0))
@@ -356,6 +356,11 @@ def _off_k0_projector(space: ModelSpace) -> np.ndarray:
 def _shift_conjugate(space: ModelSpace, f: ModelVector) -> ModelVector:
     """S C f; a type-alpha symbol is phi + alpha conj(S C phi) + c."""
     return space.vector(compressed_shift(space).mat @ space.conjugate(f).coords)
+
+
+def _typed_symbol(space: ModelSpace, phi: ModelVector, alpha, constant=0j) -> SymbolExpr:
+    """The type-alpha symbol phi + alpha conj(S C phi) + constant."""
+    return SymbolExpr(phi, np.conj(complex(alpha)) * _shift_conjugate(space, phi), constant)
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,16 @@ def _vacuous(reason: str):
     return 0.0, 0, f"vacuous: {reason}"
 
 
+def _power_sum(s: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k c_k s^k from explicit powers, an oracle apart from the library's Horner route."""
+    total = coeffs[0] * np.eye(s.shape[0])
+    power = np.eye(s.shape[0])
+    for ck in coeffs[1:]:
+        power = power @ s
+        total = total + ck * power
+    return total
+
+
 class _Verifier:
     """Stateful runner: one rng, one space, shared expensive fixtures built on first read."""
 
@@ -525,12 +535,7 @@ class _Verifier:
             a = sampling.sample_typed_tto(sp, self.rng, alpha)
             worst = max(worst, classification.commutant_residual(sp, a, alpha))
             coeffs = sampling.sample_polynomial(self.rng, min(sp.dim, 3))
-            s_alpha = generalized_shift(sp, alpha).mat
-            p = coeffs[0] * np.eye(sp.dim)
-            power = np.eye(sp.dim)
-            for ck in coeffs[1:]:
-                power = power @ s_alpha
-                p = p + ck * power
+            p = _power_sum(generalized_shift(sp, alpha).mat, coeffs)
             tag = classification.classify_type(sp, p)
             if tag.kind not in ("alpha", "scalar"):
                 return 1.0, self.trials, f"polynomial in S_alpha classified {tag.kind}"
@@ -746,12 +751,7 @@ class _Verifier:
         worst = 0.0
         for data in self._clarks:
             coeffs = sampling.sample_polynomial(self.rng, sp.dim)
-            s_alpha = generalized_shift(sp, data.alpha).mat
-            direct = coeffs[0] * np.eye(sp.dim)
-            power = np.eye(sp.dim)
-            for ck in coeffs[1:]:
-                power = power @ s_alpha
-                direct = direct + ck * power
+            direct = _power_sum(generalized_shift(sp, data.alpha).mat, coeffs)
             via_clark = crofoot_clark.functional_calculus(
                 data, npoly.polyval(data.points, coeffs)).mat
             worst = max(worst,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ttolab import (
     AlphaOnCircle,
     BlaschkeProduct,
     ModelSpace,
+    OutsideClosedDisc,
     SymbolExpr,
     build_clark_fraction_tto,
     build_from_grid_values,
@@ -16,6 +18,8 @@ from ttolab import (
     circle_grid,
     clark_data,
     classify_unitary,
+    commutant_check,
+    commutant_symbol,
     compressed_shift,
     crofoot,
     crofoot_intertwine_check,
@@ -26,10 +30,14 @@ from ttolab import (
     invertibility_criterion,
     level_set_blaschke,
     multiplicativity_check,
+    rank_one_boundary,
+    rank_one_interior,
     reduce_mod_level_set,
     sample_blaschke,
 )
+from ttolab.classification import commutant_residual
 from ttolab.tto import spectral_norm
+from ttolab.verify import _power_sum
 
 
 def test_disc_automorphism_basics():
@@ -142,8 +150,9 @@ CLOSED_FORM_ZEROS = {
 
 @pytest.mark.parametrize("family", CLOSED_FORM_ZEROS)
 def test_fraction_closed_form_matches_quadrature(family):
-    # phi(S_alpha) by Horner against the refined quadrature of the fraction symbol,
-    # at |alpha| = 0.5, at alpha = 0 (plain A_phi) and above the dimension
+    # phi(S_alpha) built from its type-alpha symbol against the refined quadrature
+    # of the fraction symbol, at |alpha| = 0.5, at alpha = 0 (plain A_phi) and
+    # above the dimension
     sp = ModelSpace(BlaschkeProduct(CLOSED_FORM_ZEROS[family]))
     rng = np.random.default_rng(len(family))
     n = sp.dim
@@ -152,15 +161,32 @@ def test_fraction_closed_form_matches_quadrature(family):
         cases.append((2 * n + 1, -0.4 + 0.3j))
     for degree, alpha in cases:
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        horner = build_clark_fraction_tto(sp, coeffs, alpha).mat
+        built = build_clark_fraction_tto(sp, coeffs, alpha).mat
         quad = build_refined(
             sp, lambda pts, uv: np.polynomial.polynomial.polyval(pts, coeffs)
             / (1.0 - alpha * np.conj(uv))).mat
-        assert np.linalg.norm(horner - quad, 2) <= 1e-10 * np.linalg.norm(quad, 2)
+        assert np.linalg.norm(built - quad, 2) <= 1e-10 * np.linalg.norm(quad, 2)
         if alpha == 0:
             plain = build_from_grid_values(
                 sp, np.polynomial.polynomial.polyval(sp.grid, coeffs)).mat
-            assert np.linalg.norm(horner - plain, 2) <= 1e-10 * np.linalg.norm(plain, 2)
+            assert np.linalg.norm(built - plain, 2) <= 1e-10 * np.linalg.norm(plain, 2)
+
+
+@pytest.mark.parametrize("family", ["random 64", "random 128"])
+def test_fraction_route_matches_power_sum_at_large_degree(stress_spaces, family):
+    # the vector-Horner and Stein route against sum c_k S_alpha^k from explicit
+    # powers, at degrees n-1 and 2n+1
+    sp = stress_spaces[family]
+    n = sp.dim
+    rng = np.random.default_rng(n)
+    alpha = -0.4 + 0.3j
+    s_alpha = generalized_shift(sp, alpha).mat
+    for degree in (n - 1, 2 * n + 1):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        built = build_clark_fraction_tto(sp, coeffs, alpha).mat
+        direct = _power_sum(s_alpha, coeffs)
+        assert spectral_norm(built - direct) <= 1e-12 * spectral_norm(direct)
+        assert commutant_residual(sp, built, alpha) <= 1e-12
 
 
 def test_fraction_vector_and_polynomial_routes_agree(triple_space):
@@ -342,3 +368,47 @@ def test_alpha_validation(z2):
         crofoot(z2, np.exp(0.3j))
     with pytest.raises(AlphaOnCircle):
         build_clark_fraction_tto(z2, np.array([1.0]), 1.0)
+
+
+BAD_COEFFS = {"empty": [], "nan": [np.nan, 1.0], "inf": [1.0, complex(0.0, np.inf)]}
+POLYNOMIAL_ENTRY_POINTS = {
+    "build_clark_fraction_tto": lambda sp, c: build_clark_fraction_tto(sp, c, 0.3),
+    "reduce_mod_level_set": lambda sp, c: reduce_mod_level_set(crofoot(sp, 0.3), c),
+    "fraction_invertibility_margin": lambda sp, c: fraction_invertibility_margin(sp, c, 0.3),
+    "invertibility_criterion": lambda sp, c: invertibility_criterion(sp, c, 0.3),
+    "multiplicativity_check": lambda sp, c: multiplicativity_check(sp, [1.0, 0.5], c, 0.3),
+    "crofoot_intertwine_check": lambda sp, c: crofoot_intertwine_check(crofoot(sp, 0.3), c),
+}
+
+
+@pytest.mark.parametrize("coeffs", BAD_COEFFS)
+@pytest.mark.parametrize("entry", POLYNOMIAL_ENTRY_POINTS)
+def test_bad_polynomial_coefficients_raise(z2, entry, coeffs):
+    with pytest.raises(ValueError, match="polynomial"):
+        POLYNOMIAL_ENTRY_POINTS[entry](z2, BAD_COEFFS[coeffs])
+
+
+NAN = complex(np.nan, 0.0)
+NAN_GUARDS = {
+    "solve_equals": (ValueError, lambda sp: sp.u.solve_equals(NAN)),
+    "generalized_shift": (ValueError, lambda sp: generalized_shift(sp, NAN)),
+    "kernel": (OutsideClosedDisc, lambda sp: sp.kernel(NAN)),
+    "level_set_blaschke": (AlphaOnCircle, lambda sp: level_set_blaschke(sp.u, NAN)),
+    "crofoot": (AlphaOnCircle, lambda sp: crofoot(sp, NAN)),
+    "build_clark_fraction_tto": (AlphaOnCircle,
+                                 lambda sp: build_clark_fraction_tto(sp, [1.0, 2.0], NAN)),
+    "clark_data": (AlphaNotUnimodular, lambda sp: clark_data(sp, NAN)),
+    "rank_one_interior": (OutsideClosedDisc, lambda sp: rank_one_interior(sp, NAN)),
+    "rank_one_boundary": (OutsideClosedDisc, lambda sp: rank_one_boundary(sp, NAN)),
+    "commutant_symbol": (ValueError, lambda sp: commutant_symbol(sp, np.eye(sp.dim), NAN)),
+    "commutant_check": (ValueError, lambda sp: commutant_check(sp, np.eye(sp.dim), NAN)),
+}
+
+
+@pytest.mark.parametrize("entry", NAN_GUARDS)
+def test_nan_fails_range_guards(triple_space, entry):
+    error, call = NAN_GUARDS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            call(triple_space)
