@@ -88,7 +88,6 @@ from .tto import (
     SymbolExpr,
     TTOMatrix,
     analytic_symbol,
-    build_from_grid_values,
     build_refined,
     build_tto,
     c_symmetry_residual,

@@ -184,6 +184,11 @@ class BlaschkeProduct:
         return complex(vals[0]) if scalar else vals
 
     @cached_property
+    def value_at_zero(self) -> complex:
+        """u(0), from ``evaluate`` once per product."""
+        return self.evaluate(0.0)
+
+    @cached_property
     def shift_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (S, K_0, Kt_0) in Takenaka-Malmquist coordinates, in closed form.
 

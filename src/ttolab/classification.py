@@ -311,7 +311,7 @@ def commutant_symbol(space: ModelSpace, operator, alpha) -> SymbolExpr:
     alpha = complex(alpha)
     if not abs(alpha) <= 1.0 + DISC_MARGIN:
         raise ValueError("commutant_symbol requires |alpha| <= 1")
-    u0 = space.u.evaluate(0.0)
+    u0 = space.u.value_at_zero
     phi = space.vector(a @ space.k0.coords / (1.0 - alpha * np.conj(u0)))
     return _typed_symbol(space, phi, alpha)
 

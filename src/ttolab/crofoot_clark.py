@@ -13,11 +13,13 @@ built without circle quadrature; the transform keeps the unitarity residual
 that certifies it.  Since the analytic operator A_phi on K_{u_alpha} is phi(S'),
 the fraction operator is phi(S_alpha), which commutes with S_alpha: a
 polynomial fraction symbol is built by build_tto from its type-alpha symbol,
-fixed by phi(S_alpha) K_0, which Horner's rule forms on a vector.  Refined
-quadrature of a fraction symbol stays only where it must be independent of
-that route or where no closed form exists: the source side and the conjugate
-side of crofoot_intertwine_check and the fraction_symbol check of the verify
-battery (oracles), and rational symbol terms in tto.build_tto.
+fixed by phi(S_alpha) K_0, which Horner's rule forms on a vector.
+crofoot_intertwine_check builds phi(S') on K_{u_alpha} the same way, so no
+Crofoot source space is ever gridded.  Refined quadrature of a fraction symbol
+stays only where it must be independent of that route or where no closed form
+exists: the conjugate side of crofoot_intertwine_check and the fraction_symbol
+check of the verify battery (oracles), and rational symbol terms in
+tto.build_tto.
 
 For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
@@ -54,8 +56,8 @@ from .model_space import ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
     TTOMatrix,
+    analytic_symbol,
     as_matrix,
-    build_from_grid_values,
     build_refined,
     build_tto,
     generalized_shift,
@@ -150,7 +152,7 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
         raise NumericalFailure(f"u_alpha drifts {drift:.3e} from tau_alpha(u)")
     source = ModelSpace(u_alpha)
     s_src, k0_src, _ = u_alpha.shift_data
-    gain = np.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - alpha * np.conj(space.u.evaluate(0.0)))
+    gain = np.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - alpha * np.conj(space.u.value_at_zero))
     mat = stein_solve(generalized_shift(space, alpha).mat, s_src.conj().T,
                       np.outer(gain * space.k0.coords, np.conj(k0_src)))
     unitarity = spectral_norm(mat.conj().T @ mat - np.eye(space.dim))
@@ -195,7 +197,7 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     if not isinstance(phi, ModelVector):
         s_alpha = generalized_shift(space, alpha).mat
         chi = _horner_k0(s_alpha, space.k0.coords, _poly_coeffs(phi))
-        phi = space.vector(chi / (1.0 - alpha * np.conj(space.u.evaluate(0.0))))
+        phi = space.vector(chi / (1.0 - alpha * np.conj(space.u.value_at_zero)))
     return build_tto(space, _typed_symbol(space, phi, alpha))
 
 
@@ -228,15 +230,17 @@ class IntertwineReport:
 def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineReport:
     """Verify T A^{u_alpha}_phi T^* = A^u_{phi/(1 - alpha conj(u))} and its adjoint form.
 
-    A^{u_alpha}_phi is the quadrature on the source grid and the fraction
-    operator is phi(S_alpha).  The adjoint residual is computed from an
-    independent quadrature of conj(phi)/(1 - conj(alpha) u), not by transposing
-    the first identity, and the norm gap compares the two unitarily equivalent
-    operator norms.
+    A^{u_alpha}_phi is phi(S'), built from the analytic symbol P phi of the
+    source space, and the fraction operator is phi(S_alpha), so the analytic
+    residual tests the Crofoot relation T phi(S') T^* = phi(S_alpha); the source
+    space is never gridded.  The adjoint residual is computed from an
+    independent quadrature of conj(phi)/(1 - conj(alpha) u) on the target, not
+    by transposing the first identity, and the norm gap compares the two
+    unitarily equivalent operator norms.
     """
     coeffs = _poly_coeffs(phi)
-    src, tgt = transform.source, transform.target
-    a_src = build_from_grid_values(src, npoly.polyval(src.grid, coeffs))
+    tgt = transform.target
+    a_src = build_tto(transform.source, analytic_symbol(reduce_mod_level_set(transform, coeffs)))
     rhs = build_clark_fraction_tto(tgt, coeffs, transform.alpha).mat
     rhs_norm = spectral_norm(rhs)
     scale = max(rhs_norm, 1.0)
@@ -348,7 +352,7 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     if ortho > 1e-8 or eigen > 1e-8:
         raise NumericalFailure(
             f"Clark spectral residuals ortho={ortho:.3e} eigen={eigen:.3e}")
-    u0 = space.u.evaluate(0.0)
+    u0 = space.u.value_at_zero
     expected_mass = float(np.real(np.vdot(space.k0.coords, space.k0.coords))) / abs(
         1.0 - np.conj(u0) * alpha) ** 2
     if abs(float(np.sum(weights)) - expected_mass) > 1e-8 * max(1.0, expected_mass):

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import BlaschkeProduct, stein_solve
-from .errors import OutsideClosedDisc, PoleHit, QuadratureError, SpaceMismatch
+from .errors import NumericalFailure, OutsideClosedDisc, PoleHit, QuadratureError, SpaceMismatch
 from .tolerances import DISC_MARGIN, GRAM_TOL, GRAM_TOL_FLOOR, POLE_TOL
 
 MAX_QUAD_POINTS = 1 << 18
@@ -98,7 +98,7 @@ class ModelSpace:
         sym = float(np.max(np.abs(m - m.T)))
         invol = float(np.max(np.abs(m @ m.conj() - np.eye(self.dim))))
         if sym > 1e-10 or invol > 1e-10:
-            raise QuadratureError(
+            raise NumericalFailure(
                 f"conjugation matrix residuals sym={sym:.3e} invol={invol:.3e}")
         return m
 

@@ -138,11 +138,6 @@ class SymbolExpr:
     def is_standard_form(self) -> bool:
         return not self.rational_terms
 
-    def conjugated(self) -> "SymbolExpr":
-        if not self.is_standard_form:
-            raise ValueError("conjugation of rational symbol terms is not representable")
-        return SymbolExpr(self.coanalytic, self.analytic, np.conj(self.constant))
-
     def standard_parts(self, space: ModelSpace) -> tuple[ModelVector, ModelVector]:
         """(phi + c K_0, psi) of a standard-form symbol, checked to be finite and in ``space``."""
         parts = [v for v in (self.analytic, self.coanalytic) if v is not None]
@@ -234,18 +229,6 @@ def symbol_from_json(space: ModelSpace, obj) -> SymbolExpr:
 # -- construction -------------------------------------------------------------
 
 
-def build_from_grid_values(space: ModelSpace, values: np.ndarray) -> TTOMatrix:
-    """Quadrature compression of a multiplication symbol given on the grid."""
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape != space.grid.shape:
-        raise ValueError("symbol values must be given on the space's grid")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol values must be finite on the grid")
-    basis = space.basis_values
-    mat = basis.conj() @ (vals * basis).T / space.quad_points
-    return TTOMatrix(mat, space)
-
-
 # build_refined evaluates u, tabulates the basis and sums over blocks of this
 # many nodes, so a batch never holds its whole (n, N) table and the copies made
 # from it: at degree 128 one such table of 32768 nodes is 67 MB.
@@ -326,7 +309,7 @@ def generalized_shift(space: ModelSpace, alpha) -> TTOMatrix:
     alpha = complex(alpha)
     if not abs(alpha) <= 1.0 + DISC_MARGIN:
         raise ValueError("generalized shift requires |alpha| <= 1")
-    u0 = space.u.evaluate(0.0)
+    u0 = space.u.value_at_zero
     gain = alpha / (1.0 - alpha * np.conj(u0))
     mat = compressed_shift(space).mat + gain * outer(space.k0, space.kt0)
     return TTOMatrix(mat, space)

@@ -19,6 +19,13 @@ def test_evaluate_single_factor():
     assert u.evaluate(0.5) == pytest.approx(0.0)
 
 
+def test_value_at_zero_is_evaluate_at_zero():
+    # the cached u(0) is the same call, so it agrees to the last bit
+    u = BlaschkeProduct((0.4, -0.2 + 0.3j, 0.99), rotation=1j)
+    assert u.value_at_zero == u.evaluate(0.0)
+    assert "value_at_zero" in vars(u)
+
+
 def test_evaluate_vectorized_matches_scalar():
     u = BlaschkeProduct((0.4, -0.2 + 0.3j), rotation=1j)
     pts = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.9])

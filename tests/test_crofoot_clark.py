@@ -12,7 +12,6 @@ from ttolab import (
     OutsideClosedDisc,
     SymbolExpr,
     build_clark_fraction_tto,
-    build_from_grid_values,
     build_refined,
     build_tto,
     circle_grid,
@@ -36,6 +35,7 @@ from ttolab import (
     sample_blaschke,
 )
 from ttolab.classification import commutant_residual
+from ttolab.sampling import sample_polynomial
 from ttolab.tto import spectral_norm
 from ttolab.verify import _power_sum
 
@@ -166,10 +166,19 @@ def test_fraction_closed_form_matches_quadrature(family):
             sp, lambda pts, uv: np.polynomial.polynomial.polyval(pts, coeffs)
             / (1.0 - alpha * np.conj(uv))).mat
         assert np.linalg.norm(built - quad, 2) <= 1e-10 * np.linalg.norm(quad, 2)
-        if alpha == 0:
-            plain = build_from_grid_values(
-                sp, np.polynomial.polynomial.polyval(sp.grid, coeffs)).mat
-            assert np.linalg.norm(built - plain, 2) <= 1e-10 * np.linalg.norm(plain, 2)
+
+
+@pytest.mark.parametrize("alpha", [0.3 + 0.2j, -0.55])
+def test_source_operator_matches_quadrature(stress_family, stress_spaces, alpha):
+    # crofoot_intertwine_check builds phi(S') on K_{u_alpha} from the analytic
+    # symbol P phi; the refined quadrature of phi there is the comparison the
+    # check no longer makes
+    transform = crofoot(stress_spaces[stress_family], alpha)
+    src = transform.source
+    coeffs = sample_polynomial(np.random.default_rng(src.dim), src.dim)
+    built = build_tto(src, SymbolExpr(analytic=reduce_mod_level_set(transform, coeffs))).mat
+    quad = build_refined(src, lambda pts, uv: np.polynomial.polynomial.polyval(pts, coeffs)).mat
+    assert np.linalg.norm(built - quad, 2) <= 1e-12 * np.linalg.norm(quad, 2)
 
 
 @pytest.mark.parametrize("family", ["random 64", "random 128"])

@@ -12,6 +12,7 @@ from ttolab import (
     circle_grid,
     classify_type,
     crofoot,
+    crofoot_intertwine_check,
     is_tto,
     same_space,
     sample_blaschke,
@@ -80,6 +81,9 @@ def test_grid_is_built_only_when_read():
     assert sp.basis_values.shape == (16, sp.quad_points)
     assert _grid_built(sp) and sp.gram_residual < 1e-12
     assert np.allclose(sp.u_values, u.evaluate(sp.grid), atol=1e-14)
+    # the intertwining check builds phi(S') on the source space in closed form
+    crofoot_intertwine_check(transform, [0.5, -1.0j, 0.25, 2.0])
+    assert not _grid_built(transform.source)
 
 
 def test_reproducing_property(z2):

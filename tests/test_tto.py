@@ -16,7 +16,6 @@ from ttolab import (
     SpaceMismatch,
     SymbolExpr,
     analytic_symbol,
-    build_from_grid_values,
     build_refined,
     build_tto,
     c_symmetry_residual,
@@ -227,7 +226,8 @@ def test_build_refined_matches_dense_quadrature(z2):
     vals = values_fn(grid, z2.u.evaluate(grid))
     dense = basis.conj() @ (vals * basis).T / n
     assert np.max(np.abs(refined - dense)) < 1e-10
-    coarse = build_from_grid_values(z2, values_fn(z2.grid, z2.u_values)).mat
+    e = z2.basis_values
+    coarse = e.conj() @ (values_fn(z2.grid, z2.u_values) * e).T / z2.quad_points
     assert np.max(np.abs(coarse - dense)) > 1e-6
 
 
@@ -431,11 +431,11 @@ def test_build_tto_rejects_bad_symbol_parts(pair_space, z2):
 
 
 def _quadrature_shift(sp, alpha):
-    # grid compression of z plus the rank-one term, Kt_0 as the conjugation of K_0
+    # refined compression of z plus the rank-one term, Kt_0 as the conjugation of K_0
     k0 = sp.kernel(0.0).coords
     kt0 = sp.conjugate_kernel(0.0).coords
     gain = alpha / (1.0 - alpha * np.conj(sp.u.evaluate(0.0)))
-    return build_from_grid_values(sp, sp.grid).mat + gain * np.outer(k0, np.conj(kt0))
+    return build_refined(sp, lambda pts, uv: pts).mat + gain * np.outer(k0, np.conj(kt0))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5 + 0.2j, np.exp(0.7j)],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttolab import BlaschkeProduct, ModelSpace, crofoot_clark, sample_blaschke, verify_space
-from ttolab.verify import _Verifier
+from ttolab.verify import _Verifier, _difference_quotient
 
 
 def test_verify_passes_on_monomial_space(z2):
@@ -115,3 +115,28 @@ def test_fraction_invertibility_solves_once_per_route(monkeypatch):
     residual, trials, _ = _Verifier(sp, 0, 4, 1.0).check_fraction_invertibility()
     assert (residual, trials) == (0.0, 4)
     assert len(calls) == 12
+
+
+@pytest.mark.parametrize("radius", [0.98, 0.99])
+def test_conjugate_kernel_formula_on_repeated_near_circle_zeros(radius):
+    # the direct quotient (u(z) - u(lam))/(z - lam) lost digits at grid nodes
+    # near lam and failed here (2.5e-10 and 3.0e-10 against 1e-10)
+    report = verify_space(ModelSpace(BlaschkeProduct((radius,) * 16)), seed=0, trials=6)
+    check = {c.name: c for c in report.checks}["conjugate_kernel_formula"]
+    assert check.passed, check.max_residual
+
+
+def test_difference_quotient_matches_direct_quotient():
+    # at least 0.1 from lam the direct quotient loses nothing to cancellation
+    rng = np.random.default_rng(11)
+    products = [BlaschkeProduct((0j,) * 4), BlaschkeProduct((0.5, -0.3j), 1j),
+                BlaschkeProduct((0.99,) * 16), sample_blaschke(rng, 16),
+                sample_blaschke(rng, 64)]
+    for u in products:
+        for lam in (0j, 0.4 - 0.7j, np.exp(1.3j), 0.99):
+            radii = np.concatenate([np.ones(300), 0.9 * rng.uniform(size=100)])
+            z = radii * np.exp(2j * np.pi * rng.uniform(size=400))
+            z = z[np.abs(z - lam) >= 0.1]
+            direct = (u.evaluate(z) - u.evaluate(lam)) / (z - lam)
+            gap = np.max(np.abs(_difference_quotient(u, z, lam) - direct))
+            assert gap <= 1e-13 * np.max(np.abs(direct))
