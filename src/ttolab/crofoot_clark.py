@@ -51,6 +51,7 @@ from .errors import (
     AlphaOnCircle,
     NotATTO,
     NumericalFailure,
+    QuadratureError,
 )
 from .model_space import ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
@@ -216,11 +217,18 @@ def reduce_mod_level_set(transform: CrofootTransform, phi) -> ModelVector:
 
 @dataclass(frozen=True)
 class IntertwineReport:
-    """Residuals of the Crofoot intertwining checks for one analytic symbol."""
+    """Residuals of the Crofoot intertwining checks for one analytic symbol.
+
+    ``conjugate_error`` is the message of the QuadratureError raised when the
+    conjugate side's quadrature did not converge, ``residual_conjugate`` then
+    being inf; the analytic residual and the norm gap need no quadrature and
+    stand.
+    """
 
     residual_analytic: float
     residual_conjugate: float
     norm_gap: float
+    conjugate_error: str = ""
 
     @property
     def max_residual(self) -> float:
@@ -236,7 +244,9 @@ def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineRepo
     space is never gridded.  The adjoint residual is computed from an
     independent quadrature of conj(phi)/(1 - conj(alpha) u) on the target, not
     by transposing the first identity, and the norm gap compares the two
-    unitarily equivalent operator norms.
+    unitarily equivalent operator norms.  A conjugate quadrature that does not
+    converge is recorded in the report, not raised, so the analytic residual
+    and the norm gap still read.
     """
     coeffs = _poly_coeffs(phi)
     tgt = transform.target
@@ -248,9 +258,12 @@ def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineRepo
     lhs = transform.map_to_target(a_src).mat
     residual_analytic = spectral_norm(lhs - rhs) / scale
     abar = np.conj(transform.alpha)
-    rhs_conj = build_refined(
-        tgt,
-        lambda pts, uv: np.conj(npoly.polyval(pts, coeffs)) / (1.0 - abar * uv)).mat
+    try:
+        rhs_conj = build_refined(
+            tgt,
+            lambda pts, uv: np.conj(npoly.polyval(pts, coeffs)) / (1.0 - abar * uv)).mat
+    except QuadratureError as exc:
+        return IntertwineReport(residual_analytic, np.inf, norm_gap, str(exc))
     lhs_conj = transform.map_to_target(a_src.adjoint()).mat
     residual_conjugate = spectral_norm(lhs_conj - rhs_conj) / scale
     return IntertwineReport(residual_analytic, residual_conjugate, norm_gap)

@@ -15,6 +15,7 @@ psi(0) = 0, and the kernel shift identities live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,59 @@ from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
 def spectral_norm(mat: np.ndarray) -> float:
     # LAPACK returns singular values in descending order
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def _finite_norm(mat: np.ndarray, what: str) -> float:
+    """spectral_norm, raising NumericalFailure when it is not finite."""
+    norm = spectral_norm(mat) if np.isfinite(mat).all() else np.nan
+    if not np.isfinite(norm):
+        raise NumericalFailure(f"{what} {norm:.3e} is not finite")
+    return norm
+
+
+# A Frobenius bracket settles a verdict only when it clears the threshold by
+# this relative slack: far above the rounding of a Frobenius or a spectral norm
+# (n^2 eps at most), far below the seven digits between membership noise,
+# about 1e-15 ||A||, and VERDICT_TOL ||A||.
+BRACKET_SLACK = 1e-6
+# A sum of squares in this range neither overflowed nor lost more than 1e-50
+# of itself to underflowing terms (each loses at most 2.3e-308); outside it,
+# or when it is not finite, the SVD decides.
+_SQUARES_RANGE = (1e-250, 1e250)
+
+
+def _frobenius_bracket(mat: np.ndarray) -> tuple[float, float] | None:
+    """(||M||_F / sqrt(r), ||M||_F) with r = min(shape), which bracket ||M||_2.
+
+    None when the sum of squares is outside _SQUARES_RANGE and M is not zero.
+    """
+    squares = float(np.vdot(mat, mat).real)
+    if _SQUARES_RANGE[0] <= squares <= _SQUARES_RANGE[1]:
+        frob = np.sqrt(squares)
+        return frob / np.sqrt(min(mat.shape)), frob
+    if squares == 0.0 and not mat.any():
+        return 0.0, 0.0
+    return None
+
+
+def _norm_at_most(x: np.ndarray, scales, c: float, floor: float = 0.0) -> tuple[bool, str]:
+    """Decide ||x||_2 <= c max(floor, ||y||_2 for y in scales), and the route that did.
+
+    ||M||_F / sqrt(r) <= ||M||_2 <= ||M||_F settles the comparison in O(n^2)
+    ("frobenius") when the bracket clears the threshold by BRACKET_SLACK;
+    otherwise the spectral norms decide it exactly ("svd"), and a norm that is
+    not finite raises NumericalFailure.  Either route gives the verdict of the
+    spectral norms.
+    """
+    bx = _frobenius_bracket(x)
+    bys = [_frobenius_bracket(y) for y in scales]
+    if bx is not None and None not in bys:
+        if bx[1] <= c * max(floor, *(b[0] for b in bys)) * (1.0 - BRACKET_SLACK):
+            return True, "frobenius"
+        if bx[0] > c * max(floor, *(b[1] for b in bys)) * (1.0 + BRACKET_SLACK):
+            return False, "frobenius"
+    bound = c * max(floor, *(_finite_norm(y, "operator norm") for y in scales))
+    return bool(_finite_norm(x, "residual") <= bound), "svd"
 
 
 def outer(f: ModelVector, g: ModelVector) -> np.ndarray:
@@ -282,7 +336,8 @@ def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
         acc = acc + _grid_sum(space, pts, u_values, values_fn)
         num *= 2
         prev, mat = mat, acc / num
-        if spectral_norm(mat - prev) <= 1e-12 * max(1.0, spectral_norm(mat)):
+        settled, _ = _norm_at_most(mat - prev, (mat,), 1e-12, floor=1.0)
+        if settled:
             return TTOMatrix(mat, space)
 
 
@@ -352,15 +407,29 @@ class DefectDecomposition:
 
     ``phi`` and ``psi`` satisfy defect ~ phi (x) K_0 + K_0 (x) psi with the
     normalization psi(0) = 0, so A = A_{phi + conj(psi)} when ``passed``.
-    ``residual`` is the spectral norm of the defect compressed off K_0 in both
-    slots, and ``tol`` is the absolute threshold the verdict used, VERDICT_TOL * ||A||.
+    ``operator`` and ``compressed_defect`` are read-only snapshots of A and of
+    the defect compressed off K_0 in both slots, taken by the call.
+    ``residual`` is the spectral norm of the compressed defect and ``tol`` the
+    absolute threshold VERDICT_TOL * ||A||; both are computed on first read,
+    from the snapshots, so they are the values the verdict stands for.
+    ``route`` names what settled the verdict: "frobenius" when the Frobenius
+    brackets of both norms did, "svd" when the spectral norms had to.
     """
 
     passed: bool
-    residual: float
-    tol: float
     phi: ModelVector
     psi: ModelVector
+    operator: np.ndarray
+    compressed_defect: np.ndarray
+    route: str
+
+    @cached_property
+    def residual(self) -> float:
+        return _finite_norm(self.compressed_defect, "defect residual")
+
+    @cached_property
+    def tol(self) -> float:
+        return float(VERDICT_TOL * _finite_norm(self.operator, "operator norm"))
 
     def __bool__(self):
         return self.passed
@@ -369,25 +438,35 @@ class DefectDecomposition:
 def is_tto(space: ModelSpace, operator) -> DefectDecomposition:
     """Defect membership test: is ``operator`` a truncated Toeplitz operator on K_u.
 
-    The threshold scales with ||A||, so a norm that is not finite would pass
-    any residual: raises NumericalFailure when ||A|| or the residual is not finite.
+    The verdict is residual <= VERDICT_TOL * ||A||, with both norms spectral.
+    Their Frobenius brackets settle it in O(n^2) unless the residual sits
+    within a factor of about n of the threshold; only then are the
+    spectral norms computed (``route`` "svd").  Either way the verdict is the
+    one the spectral norms give, and the returned ``residual`` and ``tol`` are
+    computed when first read.  The threshold scales with ||A||, so a norm that
+    is not finite would pass any residual: raises NumericalFailure when ||A||
+    or the residual is not finite.
     """
     a = as_matrix(space, operator)
-    norm = spectral_norm(a) if np.isfinite(a).all() else np.nan
-    if not np.isfinite(norm):
-        raise NumericalFailure(f"operator norm {norm:.3e} is not finite")
-    tol = VERDICT_TOL * norm
+    if a.flags.writeable or not a.flags.owndata:
+        # the decomposition keeps the values its verdict was made on
+        a = a.copy()
+        a.setflags(write=False)
+    if _frobenius_bracket(a) is None:
+        # outside the bracket's range ||A|| is read now, so that one that is
+        # not finite raises before the defect, which could overflow, is formed
+        _finite_norm(a, "operator norm")
     d = defect(space, a)
     k0 = space.k0.coords
     nk2 = float(np.real(np.vdot(k0, k0)))
     pperp = _off_k0_projector(space)
-    residual = spectral_norm(pperp @ d @ pperp)
-    if not np.isfinite(residual):
-        raise NumericalFailure(f"defect residual {residual:.3e} is not finite")
+    comp = pperp @ d @ pperp
+    comp.setflags(write=False)
+    passed, route = _norm_at_most(comp, (a,), VERDICT_TOL)
     phi = space.vector(d @ k0 / nk2)
     psi_raw = d.conj().T @ k0 / nk2
     psi = space.vector(_project_off_k0(space, psi_raw))
-    return DefectDecomposition(bool(residual <= tol), residual, float(tol), phi, psi)
+    return DefectDecomposition(passed, phi, psi, a, comp, route)
 
 
 def extract_symbol(space: ModelSpace, operator) -> SymbolExpr:
@@ -414,12 +493,11 @@ def symbols_equivalent(space: ModelSpace, first: SymbolExpr, second: SymbolExpr)
     """
     a1 = build_tto(space, first).mat
     a2 = build_tto(space, second).mat
-    scale = max(spectral_norm(a1), spectral_norm(a2), 1.0)
-    matrices_agree = spectral_norm(a1 - a2) <= VERDICT_TOL * scale
+    matrices_agree, _ = _norm_at_most(a1 - a2, (a1, a2), VERDICT_TOL, floor=1.0)
     if first.is_standard_form and second.is_standard_form:
         structural = _structural_equivalence(space, first, second)
         if structural != matrices_agree:
-            residual = spectral_norm(a1 - a2) / scale
+            residual = spectral_norm(a1 - a2) / max(spectral_norm(a1), spectral_norm(a2), 1.0)
             raise NumericalFailure(
                 f"symbol equivalence routes disagree (matrix residual {residual:.3e})")
     return matrices_agree

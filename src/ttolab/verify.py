@@ -21,7 +21,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import classification, crofoot_clark, sampling
-from .errors import TTOLabError
+from .errors import QuadratureError, TTOLabError
 from .model_space import ModelSpace
 from .tolerances import GRAM_TOL_FLOOR
 from .tto import (
@@ -658,6 +658,9 @@ class _Verifier:
 
     def check_crofoot_intertwining(self):
         reports = self._intertwine_reports
+        for r in reports:
+            if r.conjugate_error:
+                raise QuadratureError(r.conjugate_error)
         worst = max(max(r.residual_analytic, r.residual_conjugate) for r in reports)
         return worst, len(reports), "T A_phi T* equals the fraction-symbol operator"
 

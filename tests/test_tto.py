@@ -35,6 +35,15 @@ from ttolab import (
     symbols_equivalent,
 )
 from ttolab.model_space import MAX_QUAD_POINTS
+from ttolab.sampling import (
+    sample_blaschke,
+    sample_disc_point,
+    sample_notype_tto,
+    sample_tto,
+    sample_typed_tto,
+)
+from ttolab.tolerances import VERDICT_TOL
+from ttolab.tto import _norm_at_most, _off_k0_projector, spectral_norm
 
 
 def test_constant_symbol_gives_identity(z2):
@@ -148,6 +157,97 @@ def test_is_tto_refuses_non_finite_norm(pair_space, entry):
         is_tto(pair_space, mat)
     with pytest.raises(NumericalFailure, match="not finite"):
         classify_type(pair_space, mat)
+
+
+# Relative perturbations eps ||A|| of a TTO, from none to rejection: those near
+# VERDICT_TOL leave the residual inside the Frobenius bracket of the threshold.
+PERTURBATIONS = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-4, 1e-2)
+# Scales whose sums of squares underflow or overflow, applied at these eps.
+EXTREME_SCALES = (1e-200, 1e-160, 1e150, 1e200)
+SCALED_PERTURBATIONS = (0.0, 1e-8, 1e-2)
+
+
+def _svd_norms(space, a):
+    """Residual and threshold of the defect test, each from an SVD."""
+    pperp = _off_k0_projector(space)
+    comp = pperp @ defect(space, a) @ pperp
+    return spectral_norm(comp), VERDICT_TOL * spectral_norm(a)
+
+
+def test_certified_verdict_equals_svd_verdict(stress_family, stress_spaces):
+    sp = stress_spaces[stress_family]
+    rng = np.random.default_rng(sp.dim)
+    bases = [sample_tto(sp, rng).mat,
+             sample_typed_tto(sp, rng, sample_disc_point(rng)).mat,
+             sample_notype_tto(sp, rng).mat]
+    routes = set()
+    for base in bases:
+        for eps in PERTURBATIONS:
+            g = rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape)
+            a = base + eps * spectral_norm(base) * g / spectral_norm(g)
+            scales = (1.0,) + (EXTREME_SCALES if eps in SCALED_PERTURBATIONS else ())
+            for scale in scales:
+                scaled = scale * a
+                dec = is_tto(sp, scaled)
+                residual, tol = _svd_norms(sp, scaled)
+                assert dec.passed == (residual <= tol), (eps, scale, residual, tol)
+                assert (dec.residual, dec.tol) == (residual, tol)
+                routes.add(dec.route)
+    assert routes == {"frobenius", "svd"}
+
+
+def test_tiny_non_tto_is_rejected():
+    # both squared sums underflow to 0 at this scale, which must not read as
+    # a zero residual: the verdict goes to the SVD
+    sp = ModelSpace(sample_blaschke(np.random.default_rng(3), 8))
+    a = 1e-200 * np.random.default_rng(1).standard_normal((8, 8))
+    dec = is_tto(sp, a)
+    assert not dec.passed
+    assert dec.route == "svd"
+    assert dec.residual > 1e7 * dec.tol
+
+
+def test_membership_route_is_recorded(triple_space, rng):
+    a = sample_tto(triple_space, rng).mat
+    clean = is_tto(triple_space, a)
+    assert clean.passed and clean.route == "frobenius"
+    # a residual at the threshold is inside every bracket of it
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    unit, _ = _svd_norms(triple_space, g)
+    band = is_tto(triple_space, a + VERDICT_TOL * spectral_norm(a) / unit * g)
+    assert band.route == "svd"
+    assert band.passed == (band.residual <= band.tol)
+    assert abs(band.residual / band.tol - 1.0) < 1e-3
+
+
+def test_membership_keeps_the_values_of_its_call(triple_space, rng):
+    a = sample_tto(triple_space, rng).mat.copy()
+    a[0, 1] += 1e-3
+    dec = is_tto(triple_space, a)
+    residual, tol = _svd_norms(triple_space, a.copy())
+    a *= 100.0
+    a[1, 0] -= 5.0
+    assert (dec.tol, dec.residual) == (tol, residual)
+    assert not dec.operator.flags.writeable
+    assert not dec.compressed_defect.flags.writeable
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_norm_comparison_matches_spectral_norms(floor):
+    # the bracket decides in O(n^2) when it can and must agree with the SVD
+    rng = np.random.default_rng(5)
+    routes = set()
+    for n in (1, 3, 12, 40):
+        for c in (1e-12, 1e-8, 0.05, 0.5, 1.0, 4.0):
+            for rank in sorted({1, n}):
+                x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n)) + 0j
+                ys = [rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0) for _ in range(2)]
+                for size in (1e-14, 1e-9, 1e-3, 1.0, 1e3):
+                    settled, route = _norm_at_most(size * x, ys, c, floor)
+                    bound = c * max(floor, *(spectral_norm(y) for y in ys))
+                    assert settled == (spectral_norm(size * x) <= bound), (n, c, rank, size)
+                    routes.add(route)
+    assert routes == {"frobenius", "svd"}
 
 
 def test_extract_symbol_round_trip(triple_space, rng):
