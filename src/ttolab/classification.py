@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotATTO, NumericalFailure, OutsideClosedDisc, SingularMatrix
+from .errors import NumericalFailure, OutsideClosedDisc, SingularMatrix
 from .model_space import ModelSpace
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
@@ -35,7 +35,7 @@ from .tto import (
     is_tto,
     outer,
     spectral_norm,
-    _off_k0_projector,
+    _membership,
     _project_off_k0,
     _shift_conjugate,
     _typed_symbol,
@@ -47,8 +47,8 @@ class TypeTag:
     """Classification verdict: scalar, one type (finite alpha or infinity), or none.
 
     ``value`` holds alpha for kind "alpha" and the scalar constant for kind
-    "scalar"; ``residual`` is the parallelism diagnostic of the membership
-    test that produced the verdict.
+    "scalar"; ``residual`` is the parallelism residual of the type test that
+    produced the verdict.
     """
 
     kind: str
@@ -101,15 +101,6 @@ def no_type_tag(residual: float) -> TypeTag:
     return TypeTag("none", None, residual)
 
 
-def _membership(space: ModelSpace, operator) -> DefectDecomposition:
-    """The defect test behind a classification, raising NotATTO when it fails."""
-    membership = is_tto(space, operator)
-    if not membership.passed:
-        raise NotATTO(
-            f"defect residual {membership.residual:.3e} exceeds {membership.tol:.3e}")
-    return membership
-
-
 def _classification_data(space: ModelSpace, membership: DefectDecomposition):
     """Shared preprocessing: canonical symbol parts and their K_0-quotient images."""
     phi1, phi2 = membership.phi, membership.psi
@@ -127,15 +118,14 @@ def classify_type(space: ModelSpace, operator) -> TypeTag:
     conj(alpha), and NoType with the parallelism residual otherwise.  Raises
     NotATTO when the membership test fails.
     """
-    # every 1x1 matrix is a scalar, so no defect test is needed there
-    membership = _membership(space, operator) if space.dim > 1 else None
-    return _type_tag(space, operator, membership)
+    return _type_tag(space, _membership(space, operator))
 
 
-def _type_tag(space: ModelSpace, operator, membership: DefectDecomposition | None) -> TypeTag:
+def _type_tag(space: ModelSpace, membership: DefectDecomposition) -> TypeTag:
     """classify_type of an operator whose passed defect decomposition the caller holds."""
     if space.dim == 1:
-        return scalar_tag(as_matrix(space, operator)[0, 0])
+        # every 1x1 matrix is a scalar
+        return scalar_tag(membership.operator[0, 0])
     phi1, phi2, v1, v2 = _classification_data(space, membership)
     k0 = space.k0.coords
     scale = phi1.norm() + phi2.norm()
@@ -218,9 +208,10 @@ def product_rank2_residual(space: ModelSpace, first: SymbolExpr,
     psi1, psi2 = second.standard_parts(space)
     sc_phi2 = _shift_conjugate(space, phi2)
     sc_psi1 = _shift_conjugate(space, psi1)
-    m = outer(phi1, psi2) - outer(sc_phi2, sc_psi1)
-    pperp = _off_k0_projector(space)
-    residual = spectral_norm(pperp @ m @ pperp)
+    # compressing f (x) g off K_0 in both slots projects f and g
+    p_phi1, p_psi2, p_sc_phi2, p_sc_psi1 = (
+        space.vector(_project_off_k0(space, v.coords)) for v in (phi1, psi2, sc_phi2, sc_psi1))
+    residual = spectral_norm(outer(p_phi1, p_psi2) - outer(p_sc_phi2, p_sc_psi1))
     scale = phi1.norm() * psi2.norm() + sc_phi2.norm() * sc_psi1.norm() + 1.0
     return residual / scale
 
@@ -255,18 +246,11 @@ def product_classification(space: ModelSpace, left, right) -> ProductClassificat
     """
     a = as_matrix(space, left)
     b = as_matrix(space, right)
-    factors = []
-    for mat, side in ((a, "left"), (b, "right")):
-        factor = is_tto(space, mat)
-        if not factor.passed:
-            raise NotATTO(f"{side} factor fails the membership test")
-        factors.append(factor)
-    tag_a = _type_tag(space, a, factors[0])
-    tag_b = _type_tag(space, b, factors[1])
-    prod = a @ b
-    membership = is_tto(space, prod)
+    tag_a = _type_tag(space, _membership(space, a, "left factor fails the membership test"))
+    tag_b = _type_tag(space, _membership(space, b, "right factor fails the membership test"))
+    membership = is_tto(space, a @ b)
     if membership.passed:
-        tag_p = _type_tag(space, prod, membership)
+        tag_p = _type_tag(space, membership)
         if tag_a.is_scalar or tag_b.is_scalar:
             return ProductClassification("trivial", None, tag_a, tag_b, tag_p,
                                          membership.residual)
@@ -328,7 +312,7 @@ def rank_one_interior(space: ModelSpace, lam) -> tuple[TTOMatrix, TypeTag]:
 
 
 def _rank_one_interior(space: ModelSpace, lam):
-    """rank_one_interior, plus the defect decomposition behind the tag (None at dim 1)."""
+    """rank_one_interior, plus the defect decomposition behind the tag."""
     lam = complex(lam)
     if not abs(lam) < 1.0 - DISC_MARGIN:
         raise OutsideClosedDisc("rank_one_interior needs |lambda| < 1")
@@ -342,7 +326,7 @@ def rank_one_boundary(space: ModelSpace, zeta) -> tuple[TTOMatrix, TypeTag]:
 
 
 def _rank_one_boundary(space: ModelSpace, zeta):
-    """rank_one_boundary, plus the defect decomposition behind the tag (None at dim 1)."""
+    """rank_one_boundary, plus the defect decomposition behind the tag."""
     zeta = complex(zeta)
     if not abs(abs(zeta) - 1.0) <= ON_CIRCLE_TOL:
         raise OutsideClosedDisc("rank_one_boundary needs |zeta| = 1")
@@ -353,18 +337,13 @@ def _rank_one_boundary(space: ModelSpace, zeta):
 
 def _classified_rank_one(space, op, expected):
     """(op, tag, membership): classify_type of op, asserted to be of type ``expected``."""
-    membership = _membership(space, op) if space.dim > 1 else None
-    tag = _type_tag(space, op, membership)
-    _assert_rank_one_type(space, tag, expected)
-    return op, tag, membership
-
-
-def _assert_rank_one_type(space, tag, expected):
-    if space.dim == 1 or tag.is_scalar:
-        return
-    if tag.kind != "alpha" or abs(tag.value - expected) > TYPE_TOL * (1.0 + abs(expected)):
+    membership = _membership(space, op)
+    tag = _type_tag(space, membership)
+    if not tag.is_scalar and (
+            tag.kind != "alpha" or abs(tag.value - expected) > TYPE_TOL * (1.0 + abs(expected))):
         raise NumericalFailure(
             f"rank-one operator classified {tag.kind}/{tag.value} instead of {expected}")
+    return op, tag, membership
 
 
 # -- inverses and algebras ------------------------------------------------------
@@ -392,14 +371,11 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[-1] <= VERDICT_TOL * svals[0]:
         raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
-    given = is_tto(space, a)
-    if not given.passed:
-        raise NotATTO("inverse_type_check input fails the membership test")
-    tag = _type_tag(space, a, given)
-    inv = np.linalg.inv(a)
-    membership = is_tto(space, inv)
+    tag = _type_tag(space, _membership(space, a,
+                                       "inverse_type_check input fails the membership test"))
+    membership = is_tto(space, np.linalg.inv(a))
     if membership.passed:
-        inv_tag = _type_tag(space, inv, membership)
+        inv_tag = _type_tag(space, membership)
         consistent = tag.is_typed and tag.compatible_with(inv_tag)
         if tag.kind == "alpha" and inv_tag.kind == "alpha":
             consistent = consistent and abs(tag.value - inv_tag.value) <= TYPE_TOL * (
@@ -429,12 +405,8 @@ class AlgebraReport:
 def algebra_containment(space: ModelSpace, operators) -> AlgebraReport:
     """Check whether a family can sit inside one maximal algebra B_alpha."""
     mats = [as_matrix(space, op) for op in operators]
-    tags = []
-    for i, mat in enumerate(mats):
-        membership = is_tto(space, mat)
-        if not membership.passed:
-            raise NotATTO(f"element {i} fails the membership test")
-        tags.append(_type_tag(space, mat, membership))
+    tags = [_type_tag(space, _membership(space, mat, f"element {i} fails the membership test"))
+            for i, mat in enumerate(mats)]
     non_scalar = [(i, t) for i, t in enumerate(tags) if not t.is_scalar]
     if not non_scalar:
         return AlgebraReport("scalar_algebra", None)

@@ -49,7 +49,6 @@ from .classification import _type_tag
 from .errors import (
     AlphaNotUnimodular,
     AlphaOnCircle,
-    NotATTO,
     NumericalFailure,
     QuadratureError,
 )
@@ -62,8 +61,8 @@ from .tto import (
     build_refined,
     build_tto,
     generalized_shift,
-    is_tto,
     spectral_norm,
+    _membership,
     _typed_symbol,
 )
 
@@ -408,13 +407,11 @@ def classify_unitary(space: ModelSpace, operator) -> UnitaryClassification:
     eigenbasis of S_alpha, asserting they are unimodular to VERDICT_TOL.
     """
     a = as_matrix(space, operator)
-    membership = is_tto(space, a)
-    if not membership.passed:
-        raise NotATTO("classify_unitary input fails the membership test")
+    membership = _membership(space, a, "classify_unitary input fails the membership test")
     gap = spectral_norm(a.conj().T @ a - np.eye(space.dim))
     if gap > VERDICT_TOL * max(1.0, spectral_norm(a) ** 2):
         return UnitaryClassification(False, residual=gap)
-    tag = _type_tag(space, a, membership)
+    tag = _type_tag(space, membership)
     if tag.kind == "none" or tag.kind == "infinity":
         raise NumericalFailure(f"unitary operator classified as {tag.kind}")
     if tag.is_scalar:

@@ -8,8 +8,11 @@ defect (Sarason): A is a truncated Toeplitz operator iff
     A - S A S^* = phi (x) K_0  +  K_0 (x) psi
 
 for some phi, psi in K_u, in which case A = A_{phi + conj(psi)}, and build_tto
-solves it for A.  That defect test, its canonical (phi, psi) extraction with
-psi(0) = 0, and the kernel shift identities live here.
+solves it for A.  The defect test lives here, with the one NotATTO gate on it
+and the kernel shift identities.  With D = A - S A S^* it takes
+phi = D K_0 / ||K_0||^2 and the psi with psi(0) = 0, and decides on what the
+identity leaves over, D - phi (x) K_0 - K_0 (x) psi: D projected off K_0 in
+both slots.
 """
 
 from __future__ import annotations
@@ -385,12 +388,6 @@ def _project_off_k0(space: ModelSpace, coords: np.ndarray) -> np.ndarray:
     return coords - (np.vdot(k0, coords) / np.vdot(k0, k0)) * k0
 
 
-def _off_k0_projector(space: ModelSpace) -> np.ndarray:
-    """The orthogonal projection onto the complement of K_0, as a matrix."""
-    k0 = space.k0.coords
-    return np.eye(space.dim) - np.outer(k0, np.conj(k0)) / float(np.real(np.vdot(k0, k0)))
-
-
 def _shift_conjugate(space: ModelSpace, f: ModelVector) -> ModelVector:
     """S C f; a type-alpha symbol is phi + alpha conj(S C phi) + c."""
     return space.vector(compressed_shift(space).mat @ space.conjugate(f).coords)
@@ -408,7 +405,8 @@ class DefectDecomposition:
     ``phi`` and ``psi`` satisfy defect ~ phi (x) K_0 + K_0 (x) psi with the
     normalization psi(0) = 0, so A = A_{phi + conj(psi)} when ``passed``.
     ``operator`` and ``compressed_defect`` are read-only snapshots of A and of
-    the defect compressed off K_0 in both slots, taken by the call.
+    defect - phi (x) K_0 - K_0 (x) psi, which is the defect compressed off K_0
+    in both slots, taken by the call.
     ``residual`` is the spectral norm of the compressed defect and ``tol`` the
     absolute threshold VERDICT_TOL * ||A||; both are computed on first read,
     from the snapshots, so they are the values the verdict stands for.
@@ -459,14 +457,22 @@ def is_tto(space: ModelSpace, operator) -> DefectDecomposition:
     d = defect(space, a)
     k0 = space.k0.coords
     nk2 = float(np.real(np.vdot(k0, k0)))
-    pperp = _off_k0_projector(space)
-    comp = pperp @ d @ pperp
+    phi = d @ k0 / nk2
+    psi = _project_off_k0(space, d.conj().T @ k0 / nk2)
+    # what Sarason's identity leaves over is the defect projected off K_0 in both slots
+    comp = d - np.outer(phi, np.conj(k0)) - np.outer(k0, np.conj(psi))
     comp.setflags(write=False)
     passed, route = _norm_at_most(comp, (a,), VERDICT_TOL)
-    phi = space.vector(d @ k0 / nk2)
-    psi_raw = d.conj().T @ k0 / nk2
-    psi = space.vector(_project_off_k0(space, psi_raw))
-    return DefectDecomposition(passed, phi, psi, a, comp, route)
+    return DefectDecomposition(passed, space.vector(phi), space.vector(psi), a, comp, route)
+
+
+def _membership(space: ModelSpace, operator, message: str | None = None) -> DefectDecomposition:
+    """is_tto, raising NotATTO with ``message`` (default: residual and tolerance) on failure."""
+    membership = is_tto(space, operator)
+    if not membership.passed:
+        raise NotATTO(message or
+                      f"defect residual {membership.residual:.3e} exceeds {membership.tol:.3e}")
+    return membership
 
 
 def extract_symbol(space: ModelSpace, operator) -> SymbolExpr:
@@ -476,10 +482,7 @@ def extract_symbol(space: ModelSpace, operator) -> SymbolExpr:
     otherwise one-parameter (phi, psi) ambiguity.  Raises NotATTO when the
     membership residual exceeds the tolerance.
     """
-    membership = is_tto(space, operator)
-    if not membership.passed:
-        raise NotATTO(
-            f"defect residual {membership.residual:.3e} exceeds {membership.tol:.3e}")
+    membership = _membership(space, operator)
     return SymbolExpr(analytic=membership.phi, coanalytic=membership.psi)
 
 

@@ -37,6 +37,7 @@ from .tto import (
     outer,
     spectral_norm,
     symbols_equivalent,
+    _membership,
 )
 
 # Indicator checks report 0.0 (agreement) or 1.0 (contradiction) per trial and
@@ -394,16 +395,16 @@ class _Verifier:
         for k in range(self.trials):
             if k % 5 == 4:
                 a = sampling.sample_typed_tto(sp, self.rng, None)
-                membership = classification._membership(sp, a)
-                tag = classification._type_tag(sp, a, membership)
+                membership = _membership(sp, a)
+                tag = classification._type_tag(sp, membership)
                 if tag.kind != "infinity":
                     return 1.0, self.trials, f"coanalytic symbol classified {tag.kind}"
                 worst = max(worst, classification._type_residual(sp, membership, None))
                 continue
             alpha = self._typed_sample_alpha(k)
             a = sampling.sample_typed_tto(sp, self.rng, alpha)
-            membership = classification._membership(sp, a)
-            tag = classification._type_tag(sp, a, membership)
+            membership = _membership(sp, a)
+            tag = classification._type_tag(sp, membership)
             if tag.kind != "alpha":
                 return 1.0, self.trials, f"type {alpha:.3f} sample classified {tag.kind}"
             worst = max(worst, abs(tag.value - alpha) / (1.0 + abs(alpha)))
@@ -419,7 +420,7 @@ class _Verifier:
             alpha = self._typed_sample_alpha(k)
             a = sampling.sample_typed_tto(sp, self.rng, alpha)
             beta = alpha + np.exp(2j * np.pi * self.rng.random())
-            membership = classification._membership(sp, a)
+            membership = _membership(sp, a)
             good = classification._type_residual(sp, membership, alpha)
             bad = classification._type_residual(sp, membership, beta)
             worst = max(worst, good / max(bad, 1e-300))
@@ -571,7 +572,6 @@ class _Verifier:
             lam = 0.0 if k % 4 == 0 else sampling.sample_disc_point(self.rng, radius=0.8)
             op, tag, membership = classification._rank_one_interior(sp, lam)
             scale = max(1.0, op.norm())
-            membership = membership or is_tto(sp, op.mat)  # dim 1 classifies untested
             worst = max(worst, membership.residual / scale)
             if sp.dim >= 2:  # at dim 1 the tag is the scalar value, not a type
                 worst = max(worst, abs(tag.value - sp.u.evaluate(lam)))
@@ -590,7 +590,6 @@ class _Verifier:
             op, tag, membership = classification._rank_one_boundary(sp, zeta)
             scale = max(1.0, op.norm())
             worst = max(worst, spectral_norm(op.mat - op.mat.conj().T) / scale)
-            membership = membership or is_tto(sp, op.mat)  # dim 1 classifies untested
             worst = max(worst, membership.residual / scale)
             if sp.dim >= 2:
                 worst = max(worst, abs(tag.value - sp.u.evaluate(zeta)))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ttolab import classification, crofoot_clark, tto, verify
+from ttolab import classification, tto, verify
 from ttolab import (
     BlaschkeProduct,
     ModelSpace,
     NotATTO,
+    NumericalFailure,
     SingularMatrix,
     SymbolExpr,
     algebra_containment,
@@ -45,6 +46,22 @@ def test_zero_operator_is_scalar(z2):
     tag = classify_type(z2, np.zeros((2, 2), dtype=complex))
     assert tag.kind == "scalar"
     assert tag.value == 0.0
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_degree_one_refuses_non_finite_operator(entry):
+    # the defect test runs at degree 1 too, so a non-finite norm raises there
+    sp = ModelSpace(BlaschkeProduct((0.3,)))
+    with pytest.raises(NumericalFailure, match="not finite"):
+        classify_type(sp, [[entry]])
+
+
+def test_degree_one_operator_is_its_scalar():
+    sp = ModelSpace(BlaschkeProduct((0.3,)))
+    a = np.array([[2.5 - 0.75j]])
+    tag = classify_type(sp, a)
+    assert tag.kind == "scalar"
+    assert tag.value == a[0, 0]
 
 
 def test_shift_has_type_zero(z3):
@@ -309,7 +326,7 @@ def defect_tests(monkeypatch):
         calls.append(operator)
         return original(space, operator)
 
-    for module in (tto, classification, crofoot_clark, verify):
+    for module in (tto, classification, verify):
         monkeypatch.setattr(module, "is_tto", counting)
     return calls
 

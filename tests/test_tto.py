@@ -43,7 +43,7 @@ from ttolab.sampling import (
     sample_typed_tto,
 )
 from ttolab.tolerances import VERDICT_TOL
-from ttolab.tto import _norm_at_most, _off_k0_projector, spectral_norm
+from ttolab.tto import _norm_at_most, spectral_norm
 
 
 def test_constant_symbol_gives_identity(z2):
@@ -168,8 +168,13 @@ SCALED_PERTURBATIONS = (0.0, 1e-8, 1e-2)
 
 
 def _svd_norms(space, a):
-    """Residual and threshold of the defect test, each from an SVD."""
-    pperp = _off_k0_projector(space)
+    """Residual and threshold of the defect test, each from an SVD.
+
+    The reference compresses the defect with a dense projector off K_0, a
+    route independent of the one is_tto takes.
+    """
+    k0 = space.k0.coords
+    pperp = np.eye(space.dim) - np.outer(k0, np.conj(k0)) / np.vdot(k0, k0).real
     comp = pperp @ defect(space, a) @ pperp
     return spectral_norm(comp), VERDICT_TOL * spectral_norm(a)
 
@@ -191,9 +196,32 @@ def test_certified_verdict_equals_svd_verdict(stress_family, stress_spaces):
                 dec = is_tto(sp, scaled)
                 residual, tol = _svd_norms(sp, scaled)
                 assert dec.passed == (residual <= tol), (eps, scale, residual, tol)
-                assert (dec.residual, dec.tol) == (residual, tol)
+                assert dec.tol == tol
+                assert dec.residual == spectral_norm(dec.compressed_defect)
+                # the reference projects densely; the two agree to rounding
+                assert abs(dec.residual - residual) <= 1e-15 * spectral_norm(scaled)
                 routes.add(dec.route)
     assert routes == {"frobenius", "svd"}
+
+
+def test_decomposition_satisfies_sarason_identity(stress_family, stress_spaces):
+    # defect = phi (x) K_0 + K_0 (x) psi + compressed defect, the last with
+    # K_0 in the kernel of both it and its adjoint
+    sp = stress_spaces[stress_family]
+    rng = np.random.default_rng(sp.dim + 1)
+    k0 = sp.k0.coords
+    typed = sample_typed_tto(sp, rng, sample_disc_point(rng)).mat
+    untyped = sample_notype_tto(sp, rng).mat
+    g = rng.standard_normal(untyped.shape) + 1j * rng.standard_normal(untyped.shape)
+    perturbed = untyped + 1e-3 * spectral_norm(untyped) * g / spectral_norm(g)
+    for a in (typed, untyped, perturbed):
+        dec = is_tto(sp, a)
+        assert dec.passed == (a is not perturbed)
+        rounding = 1e-14 * spectral_norm(a)
+        rebuilt = outer(dec.phi, sp.k0) + outer(sp.k0, dec.psi) + dec.compressed_defect
+        assert spectral_norm(defect(sp, a) - rebuilt) <= rounding
+        for side in (dec.compressed_defect, dec.compressed_defect.conj().T):
+            assert np.linalg.norm(side @ k0) <= rounding * np.linalg.norm(k0)
 
 
 def test_tiny_non_tto_is_rejected():
@@ -224,10 +252,11 @@ def test_membership_keeps_the_values_of_its_call(triple_space, rng):
     a = sample_tto(triple_space, rng).mat.copy()
     a[0, 1] += 1e-3
     dec = is_tto(triple_space, a)
-    residual, tol = _svd_norms(triple_space, a.copy())
+    before = a.copy()
     a *= 100.0
     a[1, 0] -= 5.0
-    assert (dec.tol, dec.residual) == (tol, residual)
+    again = is_tto(triple_space, before)
+    assert (dec.tol, dec.residual) == (again.tol, again.residual)
     assert not dec.operator.flags.writeable
     assert not dec.compressed_defect.flags.writeable
 
