@@ -162,24 +162,30 @@ class BlaschkeProduct:
         return complex(vals[0]) if scalar else vals
 
     def derivative(self, z):
-        """Exact analytic derivative of u at z.
+        """Exact u'(z), the telescoped difference quotient at lam = z.
 
-        Uses leave-one-out products, so it stays valid at the zeros of u
-        (where the logarithmic-derivative form u * sum (1-|a|^2)/((z-a)(1-conj(a)z))
-        degenerates) and handles repeated zeros.  The products of the factors
-        before and after each zero are two cumulative products along the zero axis.
+        Valid at zeros of u, repeated or not, where u * sum (1-|a|^2)/((z-a)(1-conj(a)z)) fails.
+        """
+        return self._difference_quotient(z, z)
+
+    def _difference_quotient(self, z, lam):
+        """(u(z) - u(lam)) / (z - lam) in telescoped product form, with no cancellation near lam.
+
+        With factors b_k of u, u(z) - u(lam) = rotation sum_k b_<k(z) (b_k(z) - b_k(lam)) b_>k(lam)
+        and b_k(z) - b_k(lam) = (z - lam)(1 - |a_k|^2) / ((1 - conj(a_k) z)(1 - conj(a_k) lam)).
+        lam broadcasts against z over a trailing zero axis, along which the products run.
         """
         pts, scalar = _as_points(z)
         a = self._zero_arr
-        den = 1.0 - np.conj(a) * pts[..., None]
-        if np.any(np.abs(den) < POLE_TOL):
+        z, lam = pts[..., None], np.asarray(lam, dtype=complex)[..., None]
+        den_z, den_lam = 1.0 - np.conj(a) * z, 1.0 - np.conj(a) * lam
+        if np.any(np.abs(den_z) < POLE_TOL) or np.any(np.abs(den_lam) < POLE_TOL):
             raise PoleHit("Blaschke derivative at a reflected zero 1/conj(a)")
-        factors = (pts[..., None] - a) / den
-        pre = np.ones_like(factors)
-        suf = np.ones_like(factors)
-        pre[..., 1:] = np.cumprod(factors[..., :-1], axis=-1)
-        suf[..., :-1] = np.cumprod(factors[..., :0:-1], axis=-1)[..., ::-1]
-        terms = (1.0 - np.abs(a) ** 2) / den**2 * pre * suf
+        before = np.ones_like(den_z)
+        before[..., 1:] = np.cumprod((z - a[:-1]) / den_z[..., :-1], axis=-1)
+        after = np.ones_like(den_lam)
+        after[..., :-1] = np.cumprod(((lam - a) / den_lam)[..., :0:-1], axis=-1)[..., ::-1]
+        terms = (1.0 - np.abs(a) ** 2) / (den_z * den_lam) * before * after
         vals = self.rotation * np.sum(terms, axis=-1)
         return complex(vals[0]) if scalar else vals
 

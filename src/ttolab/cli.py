@@ -37,7 +37,7 @@ from .crofoot_clark import clark_data
 from .errors import NotATTO, SchemaError, TTOLabError
 from .model_space import ModelSpace
 from .tolerances import ON_CIRCLE_TOL
-from .tto import build_tto, extract_symbol, is_tto, symbol_from_json
+from .tto import SymbolExpr, build_tto, is_tto, symbol_from_json
 from .verify import verify_space
 
 KINDS = ("classify", "is_tto", "clark", "verify_all")
@@ -143,7 +143,7 @@ def run_task(space: ModelSpace, task, args) -> tuple[dict, bool]:
         dec = is_tto(space, mat)
         result = {"passed": dec.passed, "residual": dec.residual, "tol": dec.tol}
         if dec.passed:
-            result["symbol"] = extract_symbol(space, mat).to_json()
+            result["symbol"] = SymbolExpr(analytic=dec.phi, coanalytic=dec.psi).to_json()
         return {"kind": kind, "result": result}, True
     if kind == "clark":
         if "alpha" not in task:

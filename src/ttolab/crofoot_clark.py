@@ -51,6 +51,7 @@ from .errors import (
     AlphaOnCircle,
     NumericalFailure,
     QuadratureError,
+    SpaceMismatch,
 )
 from .model_space import ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
@@ -124,7 +125,7 @@ class CrofootTransform:
 
     def apply(self, f: ModelVector) -> ModelVector:
         if not same_space(f.space, self.source):
-            raise NumericalFailure("Crofoot transform applied to a foreign vector")
+            raise SpaceMismatch("Crofoot transform applied to a foreign vector")
         return self.target.vector(self.mat @ f.coords)
 
 
@@ -305,10 +306,10 @@ def fraction_invertibility_margin(space: ModelSpace, phi, alpha) -> float:
 class ClarkData:
     """Spectral data of the Clark unitary S_alpha for unimodular alpha.
 
-    ``points`` are the n distinct circle solutions of u = alpha, ``weights``
-    the Clark measure atoms 1/|u'(zeta_j)|, and ``eigenvectors`` the unitary
-    matrix whose columns are the normalized boundary kernels (phases fixed by
-    making the first nonnegligible coordinate positive real).
+    ``points`` are the n distinct circle solutions zeta_j of u = alpha, ``weights``
+    the Clark atoms 1/|u'(zeta_j)| = 1/||k_zeta_j||^2 of the boundary kernels, and
+    ``eigenvectors`` the unitary matrix whose columns are those kernels normalized
+    (phases fixed by making the first nonnegligible coordinate positive real).
     ``ortho_residual`` is ||V^* V - I|| and ``eigen_residual`` is
     ||S_alpha V - V diag(points)||, both computed and bounded by clark_data.
     """
@@ -337,11 +338,11 @@ class ClarkData:
 def clark_data(space: ModelSpace, alpha) -> ClarkData:
     """Diagonalize the Clark unitary S_alpha at unimodular alpha.
 
-    The eigenvectors are the boundary kernels at the points, evaluated in one
-    call, normalized and phase-fixed as arrays; they are not taken from an
-    eigensolver, so the eigen-relation is an independent check.  Construction
-    checks: eigenvector orthonormality and the eigen-relation
-    S_alpha v_j = zeta_j v_j to 1e-8, and the total mass against
+    The eigenvectors are the boundary kernels k_zeta at the points, evaluated in
+    one call, divided by their norms and phase-fixed as arrays; the Clark atoms are
+    1/||k_zeta||^2 = 1/|u'(zeta)|, so u' is never evaluated.  The kernels are not
+    from an eigensolver, so the eigen-relation is an independent check.  Checks:
+    orthonormality and S_alpha v_j = zeta_j v_j to 1e-8, and the total mass against
     ||K_0||^2 / |1 - conj(u(0)) alpha|^2 to 1e-8.
     """
     alpha = complex(alpha)
@@ -349,13 +350,13 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
         raise AlphaNotUnimodular(f"|alpha| = {abs(alpha):.12f}")
     alpha /= abs(alpha)
     points = space.u.solve_equals(alpha)
-    derivs = space.u.derivative(points)
-    if np.min(np.abs(derivs)) < 1e-12:
-        raise NumericalFailure("angular derivative vanished at a Clark point")
-    weights = 1.0 / np.abs(derivs)
     n = space.dim
     vecs = np.conj(space.basis_values_at(points))
-    vecs /= np.linalg.norm(vecs, axis=0)
+    norms = np.linalg.norm(vecs, axis=0)
+    if not np.min(norms**2) >= 1e-12:
+        raise NumericalFailure("angular derivative vanished at a Clark point")
+    weights = 1.0 / norms**2
+    vecs /= norms
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     vecs *= np.conj(lead) / np.abs(lead)
     ortho = spectral_norm(vecs.conj().T @ vecs - np.eye(n))

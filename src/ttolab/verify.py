@@ -110,23 +110,6 @@ def _power_sum(s: np.ndarray, coeffs) -> np.ndarray:
     return total
 
 
-def _difference_quotient(u, z: np.ndarray, lam: complex) -> np.ndarray:
-    """(u(z) - u(lam)) / (z - lam) in telescoped product form, with no cancellation near lam.
-
-    With b_k the factors of u, u(z) - u(lam) = rotation sum_k b_<k(z) (b_k(z) - b_k(lam)) b_>k(lam)
-    and b_k(z) - b_k(lam) = (z - lam)(1 - |a_k|^2) / ((1 - conj(a_k) z)(1 - conj(a_k) lam)).
-    """
-    a = u._zero_arr
-    den_z = 1.0 - np.conj(a)[:, None] * z
-    den_lam = 1.0 - np.conj(a) * lam
-    before = np.ones_like(den_z)
-    before[1:] = np.cumprod((z - a[:-1, None]) / den_z[:-1], axis=0)
-    after = np.ones_like(den_lam)
-    after[:-1] = np.cumprod(((lam - a) / den_lam)[:0:-1])[::-1]
-    weight = (1.0 - np.abs(a) ** 2) * after / den_lam
-    return u.rotation * np.sum(before * weight[:, None] / den_z, axis=0)
-
-
 class _Verifier:
     """Stateful runner: one rng, one space, shared expensive fixtures built on first read."""
 
@@ -216,7 +199,7 @@ class _Verifier:
             lam = self._mixed_point(k)
             vals = sp.conjugate_kernel(lam).grid_values()
             mask = np.abs(sp.grid - lam) > 1e-8
-            formula = _difference_quotient(sp.u, sp.grid[mask], lam)
+            formula = sp.u._difference_quotient(sp.grid[mask], lam)
             gap = float(np.max(np.abs(vals[mask] - formula)))
             worst = max(worst, gap / max(1.0, float(np.max(np.abs(formula)))))
         return worst, self.trials, "conjugate kernel equals (u(z) - u(lam)) / (z - lam)"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttolab import classification, tto, verify
+from ttolab import classification, cli, tto, verify
 from ttolab import (
     BlaschkeProduct,
     ModelSpace,
@@ -326,7 +326,7 @@ def defect_tests(monkeypatch):
         calls.append(operator)
         return original(space, operator)
 
-    for module in (tto, classification, verify):
+    for module in (tto, classification, verify, cli):
         monkeypatch.setattr(module, "is_tto", counting)
     return calls
 
@@ -349,6 +349,17 @@ def test_one_defect_test_per_operator(triple_space, defect_tests):
     assert len(defect_tests) == 3 + 3 ** 2  # the elements, then every product
     defect_tests.clear()
     assert classify_unitary(triple_space, generalized_shift(triple_space, 1j)).unitary
+    assert len(defect_tests) == 1
+
+
+def test_cli_is_tto_task_tests_once(triple_space, defect_tests):
+    # the reported symbol comes from the decomposition of the task's own test
+    rng = rng_from(54)
+    f = triple_space.vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    symbol = {"analytic": [[x.real, x.imag] for x in f.coords]}
+    task = {"kind": "is_tto", "operator": {"symbol": symbol}}
+    result, passed = cli.run_task(triple_space, task, None)
+    assert passed and result["result"]["passed"] and "symbol" in result["result"]
     assert len(defect_tests) == 1
 
 

@@ -9,7 +9,9 @@ from ttolab import (
     AlphaOnCircle,
     BlaschkeProduct,
     ModelSpace,
+    NumericalFailure,
     OutsideClosedDisc,
+    SpaceMismatch,
     SymbolExpr,
     build_clark_fraction_tto,
     build_refined,
@@ -93,6 +95,12 @@ def test_crofoot_apply_preserves_norm(pair_space, rng):
     t = crofoot(pair_space, 0.25j)
     f = t.source.vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     assert t.apply(f).norm() == pytest.approx(f.norm(), rel=1e-10)
+
+
+def test_crofoot_apply_rejects_a_target_vector(pair_space):
+    t = crofoot(pair_space, 0.25j)
+    with pytest.raises(SpaceMismatch):
+        t.apply(t.target.vector(np.ones(2)))
 
 
 def test_crofoot_round_trip(pair_space, rng):
@@ -295,6 +303,31 @@ def test_clark_data_monomial(z2):
     assert np.allclose(np.sort_complex(data.points), [-1.0, 1.0], atol=1e-10)
     assert np.allclose(data.weights, [0.5, 0.5], atol=1e-12)
     assert data.total_mass == pytest.approx(1.0)
+
+
+def test_clark_data_reads_atoms_off_kernel_norms(monkeypatch):
+    # the atoms 1/|u'| are 1/||k_zeta||^2 of the kernels clark_data builds anyway
+    calls = []
+    original = BlaschkeProduct.derivative
+
+    def counting(self, z):
+        calls.append(z)
+        return original(self, z)
+
+    monkeypatch.setattr(BlaschkeProduct, "derivative", counting)
+    sp = ModelSpace(BlaschkeProduct((0.5, 0.5, -0.2)))
+    clark_data(sp, 1j)
+    assert calls == []
+
+
+@pytest.mark.parametrize("column", [0.0, np.nan])
+def test_clark_data_rejects_vanishing_kernel_norms(monkeypatch, column):
+    # a NaN norm fails the guard as a zero one does
+    sp = ModelSpace(BlaschkeProduct((0.5, -0.3j)))
+    monkeypatch.setattr(ModelSpace, "basis_values_at",
+                        lambda self, pts: np.full((self.dim, len(pts)), column, dtype=complex))
+    with pytest.raises(NumericalFailure, match="angular derivative vanished at a Clark point"):
+        clark_data(sp, 1.0)
 
 
 def test_clark_points_solve_level_equation(triple_space):

@@ -41,12 +41,21 @@ def test_solve_equals_on_stress_families(stress_spaces, family, alpha):
 @pytest.mark.parametrize("family, alpha", [
     ("random 64", 1.0),
     ("repeated 0.5 x16", 1j),
+    ("repeated 0.9 x8", -1.0),
+    ("cluster of 12", np.exp(0.7j)),
+    ("near circle 0.995 x8", 1.0),
+    ("random 128", -1j),
+    ("random 16", np.exp(2.0j)),
 ])
 def test_clark_data_on_stress_families(stress_spaces, family, alpha):
     sp = stress_spaces[family]
     data = clark_data(sp, alpha)
     assert np.max(np.abs(np.abs(data.points) - 1.0)) <= 1e-12
     assert np.max(np.abs(sp.u.evaluate(data.points) - alpha)) <= 1e-9
+    # the Clark atoms 1/|u'(zeta)|, with |u'(zeta)| = sum_k (1 - |a_k|^2)/|zeta - a_k|^2
+    a = np.asarray(sp.u.zeros)
+    atoms = 1.0 / np.sum((1.0 - np.abs(a) ** 2) / np.abs(data.points[:, None] - a) ** 2, axis=1)
+    assert np.max(np.abs(data.weights - atoms) / atoms) <= 1e-12
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttolab import BlaschkeProduct, ModelSpace, crofoot_clark, sample_blaschke, verify_space
-from ttolab.verify import _Verifier, _difference_quotient
+from ttolab.verify import _Verifier
 
 
 def test_verify_passes_on_monomial_space(z2):
@@ -150,5 +150,5 @@ def test_difference_quotient_matches_direct_quotient():
             z = radii * np.exp(2j * np.pi * rng.uniform(size=400))
             z = z[np.abs(z - lam) >= 0.1]
             direct = (u.evaluate(z) - u.evaluate(lam)) / (z - lam)
-            gap = np.max(np.abs(_difference_quotient(u, z, lam) - direct))
+            gap = np.max(np.abs(u._difference_quotient(z, lam) - direct))
             assert gap <= 1e-13 * np.max(np.abs(direct))
