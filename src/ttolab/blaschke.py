@@ -102,9 +102,10 @@ def stein_solve(a, b, rhs) -> np.ndarray:
 
     Doubling: X += A X B, then A = A^2 and B = B^2, so pass j adds the terms
     2^j <= k < 2^{j+1}.  Callers pass compressed shifts, their adjoints and
-    conjugates, and S_alpha (|alpha| < 1, unitarily equivalent to a compressed
-    shift): powers bounded by 1 that decay with the zeros inside the disc.  The
-    tail left out is A X B, so stop at ||A||_F^2 ||B||_F^2 <= 1e-36.
+    conjugates: powers bounded by 1 that decay with the zeros inside the disc;
+    S_alpha with |alpha| < 1 is unitarily equivalent to a compressed shift and
+    converges alike.  The tail left out is A X B, so stop at
+    ||A||_F^2 ||B||_F^2 <= 1e-36.
     """
     x = np.asarray(rhs, dtype=complex)
     while np.vdot(a, a).real * np.vdot(b, b).real > 1e-36:

@@ -4,14 +4,18 @@ For |alpha| < 1 the disc automorphism tau_alpha(w) = (w - alpha)/(1 - conj(alpha
 turns u into another finite Blaschke product u_alpha = tau_alpha(u) whose zeros
 are the solutions of u = alpha.  Multiplication by
 (1 - |alpha|^2)^{-1/2} (1 - conj(alpha) u) is a unitary map T: K_{u_alpha} -> K_u
-(the Crofoot transform); it intertwines the plain compressed shift S' on
-K_{u_alpha} with the generalized shift S_alpha, T S' = S_alpha T, and transports
-every analytic symbol phi to the fraction symbol phi/(1 - alpha conj(u)).
-With I - S' S'^* = K'_0 (x) K'_0 this makes T the solution of the Stein equation
-T - S_alpha T S'^* = (T K'_0) (x) K'_0, and T K'_0 is a multiple of K_0, so T is
-built without circle quadrature; the transform keeps the unitarity residual
-that certifies it.  Since the analytic operator A_phi on K_{u_alpha} is phi(S'),
-the fraction operator is phi(S_alpha), which commutes with S_alpha: a
+(the Crofoot transform, Crofoot 1994); it intertwines the plain compressed shift
+S' on K_{u_alpha} with the generalized shift S_alpha, T S' = S_alpha T, and
+transports every analytic symbol phi to the fraction symbol phi/(1 - alpha conj(u)).
+T is built from Clark's boundary kernels (Clark 1972), with no quadrature and no
+Stein solve: at the n solutions zeta of u = 1, u_alpha(zeta) is the unimodular
+constant (1 - alpha)/(1 - conj(alpha)), so T carries each normalized kernel of
+K_{u_alpha} at zeta to conj(1 - alpha)/|1 - alpha| times the normalized kernel of
+K_u there, and T = conj(1 - alpha)/|1 - alpha| V V'^*.  The kernels of K_u at
+u = 1 are cached on the space; the transform keeps the unitarity residual that
+certifies it, and T S' = S_alpha T, which the construction does not solve for,
+is an independent check of it.  Since the analytic operator A_phi on K_{u_alpha}
+is phi(S'), the fraction operator is phi(S_alpha), which commutes with S_alpha: a
 polynomial fraction symbol is built by build_tto from its type-alpha symbol,
 fixed by phi(S_alpha) K_0, which Horner's rule forms on a vector.
 crofoot_intertwine_check builds phi(S') on K_{u_alpha} the same way, so no
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .blaschke import BlaschkeProduct, stein_solve
+from .blaschke import BlaschkeProduct
 from .classification import _type_tag
 from .errors import (
     AlphaNotUnimodular,
@@ -96,7 +100,7 @@ def level_set_blaschke(u: BlaschkeProduct, alpha) -> BlaschkeProduct:
     target = disc_automorphism(u.evaluate(anchor), alpha)
     tentative = BlaschkeProduct(tuple(zeros), 1.0)
     rho = target / tentative.evaluate(anchor)
-    if abs(abs(rho) - 1.0) > 1e-6:
+    if not abs(abs(rho) - 1.0) <= 1e-6:
         raise NumericalFailure(f"level-set rotation modulus {abs(rho):.6f} is not 1")
     return BlaschkeProduct(tuple(zeros), rho / abs(rho))
 
@@ -134,14 +138,45 @@ class CrofootTransform:
 DRIFT_POINTS = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
+def _boundary_kernels(space: ModelSpace, points) -> tuple[np.ndarray, np.ndarray]:
+    """(k_zeta / ||k_zeta||, ||k_zeta||) for the boundary kernels of space at circle points.
+
+    The squared norms are |u'(zeta)|; each must be finite and at least 1e-12.
+    """
+    vecs = np.conj(space.basis_values_at(points))
+    norms = np.linalg.norm(vecs, axis=0)
+    if not (np.min(norms**2) >= 1e-12 and np.all(np.isfinite(norms))):
+        raise NumericalFailure("angular derivative vanished at a Clark point "
+                               f"(kernel norms {np.min(norms):.3e} to {np.max(norms):.3e})")
+    return vecs / norms, norms
+
+
+def _clark_frame_at_one(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta, V): the n solutions of u = 1 and the normalized kernels there, cached per space."""
+    if "clark_at_one" not in space._op_cache:
+        points = space.u.solve_equals(1.0)
+        vecs, _ = _boundary_kernels(space, points)
+        for arr in (points, vecs):
+            arr.setflags(write=False)
+        space._op_cache["clark_at_one"] = (points, vecs)
+    return space._op_cache["clark_at_one"]
+
+
 def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     """Build the Crofoot transform of K_u at interior alpha.
 
-    The matrix is the Stein solve of T - S_alpha T S'^* = (T K'_0) (x) K'_0 with
-    T K'_0 = sqrt(1 - |alpha|^2)/(1 - alpha conj(u(0))) K_0, where S' and K'_0 are
-    the shift and the kernel at 0 of K_{u_alpha}.  The constructed u_alpha is
-    checked against tau_alpha(u) at 16 boundary points to 1e-10, and T is checked
-    unitary to 1e-9.
+    At the n solutions zeta of u = 1, u_alpha(zeta) = (1 - alpha)/(1 - conj(alpha))
+    is unimodular and (1 - conj(alpha) u) k'_zeta = (1 - |alpha|^2)/(1 - alpha) k_zeta,
+    with k and k' the boundary kernels of K_u and K_{u_alpha} (Clark 1972).  So T
+    maps the normalized k'_zeta to conj(1 - alpha)/|1 - alpha| times the normalized
+    k_zeta, and T = conj(1 - alpha)/|1 - alpha| V V'^*, where the columns of V and V'
+    are those kernels.  (zeta, V) depends on u alone and is cached on the space, so
+    a call solves u = alpha, evaluates the basis of K_{u_alpha} at the n points
+    and takes one matrix product.  The constructed u_alpha is checked against
+    tau_alpha(u) at 16 boundary points to 1e-10, and T is checked unitary to 1e-9;
+    a refusal gives 1 - max|w| over the solutions w of u = alpha and the rounding
+    floor eps/(1 - max|w|) that the residual tracks.  T S' = S_alpha T is not
+    solved for, so it stays an independent check.
     """
     alpha = complex(alpha)
     if not abs(alpha) < 1.0 - DISC_MARGIN:
@@ -149,16 +184,19 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     u_alpha = level_set_blaschke(space.u, alpha)
     drift = float(np.max(np.abs(u_alpha.evaluate(DRIFT_POINTS) - disc_automorphism(
         space.u.evaluate(DRIFT_POINTS), alpha))))
-    if drift > 1e-10:
+    if not drift <= 1e-10:
         raise NumericalFailure(f"u_alpha drifts {drift:.3e} from tau_alpha(u)")
     source = ModelSpace(u_alpha)
-    s_src, k0_src, _ = u_alpha.shift_data
-    gain = np.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - alpha * np.conj(space.u.value_at_zero))
-    mat = stein_solve(generalized_shift(space, alpha).mat, s_src.conj().T,
-                      np.outer(gain * space.k0.coords, np.conj(k0_src)))
+    points, kernels = _clark_frame_at_one(space)
+    phase = np.conj(1.0 - alpha) / abs(1.0 - alpha)
+    mat = phase * (kernels @ _boundary_kernels(source, points)[0].conj().T)
     unitarity = spectral_norm(mat.conj().T @ mat - np.eye(space.dim))
-    if unitarity > 1e-9:
-        raise NumericalFailure(f"Crofoot matrix unitarity residual {unitarity:.3e}")
+    if not unitarity <= 1e-9:
+        depth = 1.0 - float(np.max(np.abs(u_alpha._zero_arr)))
+        raise NumericalFailure(
+            f"Crofoot matrix unitarity residual {unitarity:.3e}: the solutions w of "
+            f"u = alpha reach 1 - max|w| = {depth:.3e}, a rounding floor "
+            f"eps/(1 - max|w|) = {np.finfo(float).eps / depth:.3e}")
     return CrofootTransform(alpha, source, space, mat, unitarity)
 
 
@@ -351,12 +389,8 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     alpha /= abs(alpha)
     points = space.u.solve_equals(alpha)
     n = space.dim
-    vecs = np.conj(space.basis_values_at(points))
-    norms = np.linalg.norm(vecs, axis=0)
-    if not np.min(norms**2) >= 1e-12:
-        raise NumericalFailure("angular derivative vanished at a Clark point")
+    vecs, norms = _boundary_kernels(space, points)
     weights = 1.0 / norms**2
-    vecs /= norms
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     vecs *= np.conj(lead) / np.abs(lead)
     ortho = spectral_norm(vecs.conj().T @ vecs - np.eye(n))

@@ -629,6 +629,8 @@ class _Verifier:
         return worst, len(self._crofoots), "weighted composition map is unitary"
 
     def check_crofoot_shift_intertwine(self):
+        # crofoot builds T from boundary kernels, not from T S' = S_alpha T, so
+        # this relation checks it independently
         sp = self.space
         worst = 0.0
         for ct in self._crofoots:

@@ -36,7 +36,10 @@ from ttolab import (
     reduce_mod_level_set,
     sample_blaschke,
 )
+from ttolab import crofoot_clark
+from ttolab.blaschke import stein_solve
 from ttolab.classification import commutant_residual
+from ttolab.crofoot_clark import _clark_frame_at_one
 from ttolab.sampling import sample_polynomial
 from ttolab.tto import spectral_norm
 from ttolab.verify import _power_sum
@@ -125,6 +128,71 @@ def test_crofoot_stein_matches_quadrature(stress_spaces, stress_family, alpha):
     transform = crofoot(stress_spaces[stress_family], alpha)
     quad = _quadrature_crofoot(transform)
     assert np.linalg.norm(transform.mat - quad, 2) <= 1e-12 * np.linalg.norm(quad, 2)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.2j, -0.55])
+def test_crofoot_matches_stein_solve(stress_spaces, stress_family, alpha):
+    # an independent oracle for the kernel-frame product: T is also the solution of
+    # T - S_alpha T S'^* = (T K'_0) (x) K'_0 with T K'_0 = gain K_0
+    sp = stress_spaces[stress_family]
+    transform = crofoot(sp, alpha)
+    s_src, k0_src, _ = transform.source.u.shift_data
+    gain = np.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - alpha * np.conj(sp.u.value_at_zero))
+    stein = stein_solve(generalized_shift(sp, alpha).mat, s_src.conj().T,
+                        np.outer(gain * sp.k0.coords, np.conj(k0_src)))
+    assert spectral_norm(transform.mat - stein) <= 1e-12
+
+
+def test_crofoot_solves_u_equals_one_once_per_space(monkeypatch):
+    calls = []
+    original = BlaschkeProduct.solve_equals
+
+    def counting(self, alpha):
+        calls.append(complex(alpha))
+        return original(self, alpha)
+
+    monkeypatch.setattr(BlaschkeProduct, "solve_equals", counting)
+    sp = ModelSpace(BlaschkeProduct((0.5, 0.5, -0.2)))
+    for alpha in (0.3, -0.2 + 0.4j, 0.0):
+        crofoot(sp, alpha)
+    assert calls.count(1.0) == 1
+    points, kernels = _clark_frame_at_one(sp)
+    assert not points.flags.writeable and not kernels.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_crofoot_rejects_non_finite_source_kernels(monkeypatch, value):
+    # a non-finite kernel of K_{u_alpha} is refused before the unitarity gate,
+    # whose SVD would raise LinAlgError on it
+    sp = ModelSpace(BlaschkeProduct((0.5, -0.3j)))
+    original = ModelSpace.basis_values_at
+
+    def poisoned(self, points):
+        values = original(self, points)
+        if self is not sp:
+            values[0, 0] = value
+        return values
+
+    monkeypatch.setattr(ModelSpace, "basis_values_at", poisoned)
+    # the norm of an infinite entry is NaN, with numpy's invalid-value warning
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalFailure, match="angular derivative vanished at a Clark point"):
+        crofoot(sp, 0.3)
+
+
+def test_crofoot_gates_refuse_nan(monkeypatch, pair_space):
+    # each gate reads `not residual <= bound`, so a NaN residual is refused
+    monkeypatch.setattr(crofoot_clark, "DRIFT_POINTS", np.array([np.nan, 1j]))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="drifts"):
+        crofoot(pair_space, 0.3)
+    monkeypatch.undo()
+    monkeypatch.setattr(crofoot_clark, "spectral_norm", lambda mat: np.nan)
+    with pytest.raises(NumericalFailure, match="unitarity residual nan"):
+        crofoot(pair_space, 0.3)
+    monkeypatch.undo()
+    monkeypatch.setattr(crofoot_clark, "disc_automorphism", lambda w, alpha: np.nan)
+    with pytest.raises(NumericalFailure, match="rotation modulus"):
+        level_set_blaschke(pair_space.u, 0.3)
 
 
 def test_crofoot_intertwining_polynomial_symbols(triple_space):

@@ -21,8 +21,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ttolab import (AlphaOnCircle, BlaschkeProduct, ModelSpace, RootSolveError, classify_type,
-                    clark_data, crofoot, sample_blaschke, sample_typed_tto, verify_space)
+from ttolab import (AlphaOnCircle, BlaschkeProduct, ModelSpace, NumericalFailure,
+                    RootSolveError, classify_type, clark_data, crofoot, sample_blaschke,
+                    sample_typed_tto, verify_space)
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -220,6 +221,29 @@ def test_crofoot_on_stress_families(stress_spaces, family, alpha):
     transform = crofoot(sp, alpha)
     assert transform.source.dim == sp.dim
     assert np.linalg.norm(transform.mat.conj().T @ transform.mat - np.eye(sp.dim), 2) <= 1e-9
+
+
+@pytest.mark.parametrize("u, gap", [
+    (sample_blaschke(np.random.default_rng(16), 16), 1e-6),
+    (sample_blaschke(np.random.default_rng(128), 128), 1e-5),
+    (BlaschkeProduct((0.995,) * 8), 1e-4),
+], ids=["random 16", "random 128", "repeated 0.995 x8"])
+def test_crofoot_reaches_near_the_circle(u, gap):
+    # the kernel-frame product stays unitary to 1e-9 this close to the circle,
+    # where the unitarity residual of a Stein solve read 2.4e-9 to 4.8e-9
+    transform = crofoot(ModelSpace(u), (1.0 - gap) * np.exp(0.4j))
+    assert transform.unitarity_residual <= 1e-9
+
+
+def test_crofoot_refusal_names_the_rounding_floor(stress_spaces):
+    sp = stress_spaces["random 16"]
+    alpha = (1.0 - 1e-7) * np.exp(0.4j)
+    depth = 1.0 - np.max(np.abs(sp.u.solve_equals(alpha)))
+    with pytest.raises(NumericalFailure, match="unitarity residual") as info:
+        crofoot(sp, alpha)
+    message = str(info.value)
+    assert f"1 - max|w| = {depth:.3e}" in message, message
+    assert f"eps/(1 - max|w|) = {np.finfo(float).eps / depth:.3e}" in message, message
 
 
 CROFOOT_AND_CLARK = {
