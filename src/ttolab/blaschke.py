@@ -14,8 +14,8 @@ where the unwrapped boundary phase of u, continuous and strictly increasing by
 brackets.  Inside the disc each starts from a Clark point of alpha/|alpha|,
 moved inward by the slope of that phase, and Aberth-Ehrlich sweeps (Aberth
 1973; Bini & Robol 2014) run on the polynomial (u - alpha) prod_k (1 - conj(a_k) z),
-evaluated in product form.  Both routes cost O(n^2) per sweep.  Operators
-built on the shift solve a two-sided Stein equation X - A X B = R.
+evaluated in product form.  Both routes cost O(n^2) per sweep.  The solutions
+on the circle carry the Clark frames of K_u, in which operators are built.
 """
 
 from __future__ import annotations
@@ -95,23 +95,6 @@ class RationalPair:
         num = [complex(p[0], p[1]) for p in obj["numerator"]]
         den = [complex(p[0], p[1]) for p in obj["denominator"]]
         return cls(tuple(num), tuple(den))
-
-
-def stein_solve(a, b, rhs) -> np.ndarray:
-    """X = sum_k A^k R B^k, the solution of X - A X B = R.
-
-    Doubling: X += A X B, then A = A^2 and B = B^2, so pass j adds the terms
-    2^j <= k < 2^{j+1}.  Callers pass compressed shifts, their adjoints and
-    conjugates: powers bounded by 1 that decay with the zeros inside the disc;
-    S_alpha with |alpha| < 1 is unitarily equivalent to a compressed shift and
-    converges alike.  The tail left out is A X B, so stop at
-    ||A||_F^2 ||B||_F^2 <= 1e-36.
-    """
-    x = np.asarray(rhs, dtype=complex)
-    while np.vdot(a, a).real * np.vdot(b, b).real > 1e-36:
-        x = x + a @ x @ b
-        a, b = a @ a, b @ b
-    return x
 
 
 @dataclass(frozen=True)

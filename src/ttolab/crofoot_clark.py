@@ -7,12 +7,13 @@ are the solutions of u = alpha.  Multiplication by
 (the Crofoot transform, Crofoot 1994); it intertwines the plain compressed shift
 S' on K_{u_alpha} with the generalized shift S_alpha, T S' = S_alpha T, and
 transports every analytic symbol phi to the fraction symbol phi/(1 - alpha conj(u)).
-T is built from Clark's boundary kernels (Clark 1972), with no quadrature and no
-Stein solve: at the n solutions zeta of u = 1, u_alpha(zeta) is the unimodular
-constant (1 - alpha)/(1 - conj(alpha)), so T carries each normalized kernel of
+T is built from Clark's boundary kernels (Clark 1972), with no quadrature: at
+the n solutions zeta of u = 1, u_alpha(zeta) is the unimodular constant
+(1 - alpha)/(1 - conj(alpha)), so T carries each normalized kernel of
 K_{u_alpha} at zeta to conj(1 - alpha)/|1 - alpha| times the normalized kernel of
-K_u there, and T = conj(1 - alpha)/|1 - alpha| V V'^*.  The kernels of K_u at
-u = 1 are cached on the space; the transform keeps the unitarity residual that
+K_u there, and T = conj(1 - alpha)/|1 - alpha| V V'^*.  (zeta, V) is the
+space's Clark frame at 1, cached like the one at -u(0)/|u(0)| that build_tto and
+the conjugation read; the transform keeps the unitarity residual that
 certifies it, and T S' = S_alpha T, which the construction does not solve for,
 is an independent check of it.  Since the analytic operator A_phi on K_{u_alpha}
 is phi(S'), the fraction operator is phi(S_alpha), which commutes with S_alpha: a
@@ -138,30 +139,6 @@ class CrofootTransform:
 DRIFT_POINTS = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
-def _boundary_kernels(space: ModelSpace, points) -> tuple[np.ndarray, np.ndarray]:
-    """(k_zeta / ||k_zeta||, ||k_zeta||) for the boundary kernels of space at circle points.
-
-    The squared norms are |u'(zeta)|; each must be finite and at least 1e-12.
-    """
-    vecs = np.conj(space.basis_values_at(points))
-    norms = np.linalg.norm(vecs, axis=0)
-    if not (np.min(norms**2) >= 1e-12 and np.all(np.isfinite(norms))):
-        raise NumericalFailure("angular derivative vanished at a Clark point "
-                               f"(kernel norms {np.min(norms):.3e} to {np.max(norms):.3e})")
-    return vecs / norms, norms
-
-
-def _clark_frame_at_one(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(zeta, V): the n solutions of u = 1 and the normalized kernels there, cached per space."""
-    if "clark_at_one" not in space._op_cache:
-        points = space.u.solve_equals(1.0)
-        vecs, _ = _boundary_kernels(space, points)
-        for arr in (points, vecs):
-            arr.setflags(write=False)
-        space._op_cache["clark_at_one"] = (points, vecs)
-    return space._op_cache["clark_at_one"]
-
-
 def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     """Build the Crofoot transform of K_u at interior alpha.
 
@@ -187,9 +164,9 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     if not drift <= 1e-10:
         raise NumericalFailure(f"u_alpha drifts {drift:.3e} from tau_alpha(u)")
     source = ModelSpace(u_alpha)
-    points, kernels = _clark_frame_at_one(space)
+    points, kernels = space._clark_frame(1.0)
     phase = np.conj(1.0 - alpha) / abs(1.0 - alpha)
-    mat = phase * (kernels @ _boundary_kernels(source, points)[0].conj().T)
+    mat = phase * (kernels @ source._boundary_kernels(points)[0].conj().T)
     unitarity = spectral_norm(mat.conj().T @ mat - np.eye(space.dim))
     if not unitarity <= 1e-9:
         depth = 1.0 - float(np.max(np.abs(u_alpha._zero_arr)))
@@ -310,7 +287,7 @@ def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineRepo
 def multiplicativity_check(space: ModelSpace, phi, psi, alpha) -> float:
     """Relative residual of A_{phi/(1-a conj u)} A_{psi/(1-a conj u)} = A_{phi psi/(1-a conj u)}.
 
-    All three operators are built by vector Horner and the Stein solve, so the
+    All three operators are built by vector Horner and the Clark frame, so the
     residual measures their rounding and that of the matrix product, not a
     quadrature error.  That this route is the compressed fraction symbol is
     checked apart, against quadrature, by crofoot_intertwine_check.
@@ -389,7 +366,7 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     alpha /= abs(alpha)
     points = space.u.solve_equals(alpha)
     n = space.dim
-    vecs, norms = _boundary_kernels(space, points)
+    vecs, norms = space._boundary_kernels(points)
     weights = 1.0 / norms**2
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     vecs *= np.conj(lead) / np.abs(lead)

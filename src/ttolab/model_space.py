@@ -5,16 +5,17 @@ are stored as coordinates in the orthonormal Takenaka-Malmquist basis
 
     e_k(z) = sqrt(1 - |a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z - a_j)/(1 - conj(a_j) z),
 
-which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  The shift, the
-kernels at 0 and the conjugation are closed forms or Stein solves in these
-coordinates.  Quadrature oracles and rational symbols use the uniform trapezoid
-rule on the circle, whose error decays geometrically for rational integrands
-with poles off the circle.  The conjugation and the grid are built the first
-time they are read; the grid size is doubled until the basis Gram matrix is
-the identity to GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  tto.build_refined
-starts from this certified grid and refines on nested grids: the N-point nodes
-are the even nodes of the 2N-point rule, so each doubling adds only the N odd
-ones.
+which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  The shift and
+the kernels at 0 are closed forms in these coordinates; the conjugation is
+diagonal in a Clark frame, the normalized boundary kernels at the solutions of
+u = beta for unimodular beta (Clark 1972), which is cached per beta.
+Quadrature oracles and rational symbols use the uniform trapezoid rule on the
+circle, whose error decays geometrically for rational integrands with poles off
+the circle.  The conjugation and the grid are built the first time they are
+read; the grid size is doubled until the basis Gram matrix is the identity to
+GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  tto.build_refined starts from this
+certified grid and refines on nested grids: the N-point nodes are the even nodes
+of the 2N-point rule, so each doubling adds only the N odd ones.
 
 basis_values_at takes one of two paths by the number of points.  Few-point
 calls (kernels, ModelVector.evaluate at a point or a handful, the n boundary
@@ -34,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, stein_solve
+from .blaschke import BlaschkeProduct
 from .errors import NumericalFailure, OutsideClosedDisc, PoleHit, QuadratureError, SpaceMismatch
 from .tolerances import DISC_MARGIN, GRAM_TOL, GRAM_TOL_FLOOR, POLE_TOL
 
@@ -90,17 +91,47 @@ class ModelSpace:
     gram_residual = property(lambda self: self._quadrature[4])
 
     @cached_property
+    def _frame_point(self) -> complex:
+        """beta = -u(0)/|u(0)|, or -1 when u(0) = 0, so that |1 - conj(beta) u(0)| = 1 + |u(0)|."""
+        u0 = self.u.value_at_zero
+        return -u0 / abs(u0) if u0 else -1.0 + 0j
+
+    @cached_property
     def conj_matrix(self) -> np.ndarray:
-        """M with C f = M conj(f), a Stein solve checked symmetric and involutive to 1e-10."""
-        # C S C = S^* and C K_0 = Kt_0 give M - S M conj(S) = K_0 Kt_0^T for C f = M conj(f)
-        s, k0, kt0 = self.u.shift_data
-        m = stein_solve(s, s.conj(), np.outer(k0, kt0))
+        """M with C f = M conj(f), from a Clark frame, checked symmetric and involutive to 1e-10."""
+        # C k_zeta = beta conj(zeta) k_zeta where u(zeta) = beta, and conj(V)^{-1} = V^T
+        beta = self._frame_point
+        points, vecs = self._clark_frame(beta)
+        m = (vecs * (beta * np.conj(points))) @ vecs.T
         sym = float(np.max(np.abs(m - m.T)))
         invol = float(np.max(np.abs(m @ m.conj() - np.eye(self.dim))))
         if sym > 1e-10 or invol > 1e-10:
             raise NumericalFailure(
                 f"conjugation matrix residuals sym={sym:.3e} invol={invol:.3e}")
         return m
+
+    def _boundary_kernels(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(k_zeta / ||k_zeta||, ||k_zeta||) for the boundary kernels at circle points.
+
+        The squared norms are |u'(zeta)|; each must be finite and at least 1e-12.
+        """
+        vecs = np.conj(self.basis_values_at(points))
+        norms = np.linalg.norm(vecs, axis=0)
+        if not (np.min(norms**2) >= 1e-12 and np.all(np.isfinite(norms))):
+            raise NumericalFailure("angular derivative vanished at a Clark point "
+                                   f"(kernel norms {np.min(norms):.3e} to {np.max(norms):.3e})")
+        return vecs / norms, norms
+
+    def _clark_frame(self, beta) -> tuple[np.ndarray, np.ndarray]:
+        """(zeta, V): u(zeta) = beta and S_beta V = V diag(zeta), read-only and cached per beta."""
+        key = ("clark_frame", complex(beta))
+        if key not in self._op_cache:
+            points = self.u.solve_equals(beta)
+            vecs, _ = self._boundary_kernels(points)
+            for arr in (points, vecs):
+                arr.setflags(write=False)
+            self._op_cache[key] = (points, vecs)
+        return self._op_cache[key]
 
     def __repr__(self):
         return f"ModelSpace(degree={self.dim})"

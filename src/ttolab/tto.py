@@ -7,12 +7,12 @@ defect (Sarason): A is a truncated Toeplitz operator iff
 
     A - S A S^* = phi (x) K_0  +  K_0 (x) psi
 
-for some phi, psi in K_u, in which case A = A_{phi + conj(psi)}, and build_tto
-solves it for A.  The defect test lives here, with the one NotATTO gate on it
-and the kernel shift identities.  With D = A - S A S^* it takes
-phi = D K_0 / ||K_0||^2 and the psi with psi(0) = 0, and decides on what the
-identity leaves over, D - phi (x) K_0 - K_0 (x) psi: D projected off K_0 in
-both slots.
+for some phi, psi in K_u, in which case A = A_{phi + conj(psi)}.  build_tto
+solves it for A in the Clark frame of K_u, where it is a Loewner matrix.  The
+defect test lives here, with the one NotATTO gate on it and the kernel shift
+identities.  With D = A - S A S^* it takes phi = D K_0 / ||K_0||^2 and the psi
+with psi(0) = 0, and decides on what the identity leaves over,
+D - phi (x) K_0 - K_0 (x) psi: D projected off K_0 in both slots.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import RationalPair, stein_solve
+from .blaschke import RationalPair
 from .errors import NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SpaceMismatch
 from .model_space import MAX_QUAD_POINTS, ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
@@ -345,14 +345,36 @@ def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
 
 
 def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:
-    """A_Phi: Stein sum of (phi + c K_0) (x) K_0 + K_0 (x) psi, or quadrature of rational terms."""
+    """A_Phi: Sarason's identity in a Clark frame, or quadrature of rational terms.
+
+    With phi = analytic + c K_0, psi = coanalytic, a = A K_0 = phi + conj(psi(0)) K_0
+    - conj(u(0)) S C psi, b = A^* K_0 its mirror and g = beta/(1 - beta conj(u(0)))
+    for beta = _frame_point, A - S_beta A S_beta^* = x (x) K_0 + K_0 (x) y with
+    x = phi - conj(g) S C b - |g|^2 <a, K_0> K_0 and y = psi - conj(g) S C a.  In the
+    eigenbasis V of S_beta, V^* A V is that defect over 1 - zeta_i conj(zeta_j) off the
+    diagonal, and V^* A K_0 = V^* a fixes the diagonal (Cima, Ross & Wogen 2008).
+    """
     if symbol.rational_terms:
         return build_refined(space,
                              lambda pts, uv: symbol.values_at(space, pts, uv))
-    phi, psi = symbol.standard_parts(space)
-    s = compressed_shift(space).mat
-    return TTOMatrix(stein_solve(s, s.conj().T, outer(phi, space.k0) + outer(space.k0, psi)),
-                     space)
+    phi, psi = (f.coords for f in symbol.standard_parts(space))
+    s, m, k0 = compressed_shift(space).mat, space.conj_matrix, space.k0.coords
+    u0bar, beta = np.conj(space.u.value_at_zero), space._frame_point
+    zeta, v = space._clark_frame(beta)
+    gbar = np.conj(beta / (1.0 - beta * u0bar))
+    a = phi + np.vdot(psi, k0) * k0 - u0bar * (s @ (m @ psi.conj()))
+    b = psi + np.vdot(phi, k0) * k0 - u0bar * (s @ (m @ phi.conj()))
+    x = phi - gbar * (s @ (m @ b.conj())) - abs(gbar) ** 2 * np.vdot(k0, a) * k0
+    y = psi - gbar * (s @ (m @ a.conj()))
+    x, y, a, w = (v.conj().T @ np.column_stack((x, y, a, k0))).T
+    # 1 - zeta_i conj(zeta_j) = conj(zeta_j) (zeta_j - zeta_i) on the circle, without cancellation
+    gap = np.conj(zeta) * (zeta - zeta[:, None])
+    np.fill_diagonal(gap, 1.0)
+    loewner = (np.outer(x, w.conj()) + np.outer(w, y.conj())) / gap
+    np.fill_diagonal(loewner, 0.0)
+    # |w_i| = (1 + |u(0)|) / ||k_zeta_i||: the frame point keeps it off zero
+    np.fill_diagonal(loewner, (a - loewner @ w) / w)
+    return TTOMatrix(v @ loewner @ v.conj().T, space)
 
 
 def compressed_shift(space: ModelSpace) -> TTOMatrix:

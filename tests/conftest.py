@@ -18,6 +18,21 @@ STRESS_FAMILIES = {
 }
 
 
+def stein_solve(a, b, rhs) -> np.ndarray:
+    """X = sum_k A^k R B^k, the solution of X - A X B = R, as an oracle for the frame builds.
+
+    Doubling: X += A X B, then A = A^2 and B = B^2, so pass j adds the terms
+    2^j <= k < 2^{j+1}.  Callers pass compressed shifts and generalized shifts
+    S_alpha with |alpha| < 1, their adjoints and conjugates, whose powers decay;
+    the tail left out is A X B, so stop at ||A||_F^2 ||B||_F^2 <= 1e-36.
+    """
+    x = np.asarray(rhs, dtype=complex)
+    while np.vdot(a, a).real * np.vdot(b, b).real > 1e-36:
+        x = x + a @ x @ b
+        a, b = a @ a, b @ b
+    return x
+
+
 def pytest_generate_tests(metafunc):
     if "stress_family" in metafunc.fixturenames:
         metafunc.parametrize("stress_family", list(STRESS_FAMILIES))

@@ -37,12 +37,12 @@ from ttolab import (
     sample_blaschke,
 )
 from ttolab import crofoot_clark
-from ttolab.blaschke import stein_solve
 from ttolab.classification import commutant_residual
-from ttolab.crofoot_clark import _clark_frame_at_one
 from ttolab.sampling import sample_polynomial
 from ttolab.tto import spectral_norm
 from ttolab.verify import _power_sum
+
+from conftest import stein_solve
 
 
 def test_disc_automorphism_basics():
@@ -156,8 +156,20 @@ def test_crofoot_solves_u_equals_one_once_per_space(monkeypatch):
     for alpha in (0.3, -0.2 + 0.4j, 0.0):
         crofoot(sp, alpha)
     assert calls.count(1.0) == 1
-    points, kernels = _clark_frame_at_one(sp)
+    points, kernels = sp._clark_frame(1.0)
     assert not points.flags.writeable and not kernels.flags.writeable
+
+
+def test_a_space_caches_at_most_two_clark_frames():
+    # build_tto and the conjugation read the frame at -u(0)/|u(0)|, crofoot the one
+    # at u = 1; clark_data takes any alpha and must not grow the cache per call
+    sp = ModelSpace(BlaschkeProduct((0.5, 0.5, -0.2)))
+    build_tto(sp, SymbolExpr(analytic=sp.k0, coanalytic=sp.kt0))
+    crofoot(sp, 0.3)
+    for t in (0.1, 0.7, 2.0):
+        clark_data(sp, np.exp(1j * t))
+    frames = [key for key in sp._op_cache if isinstance(key, tuple) and key[0] == "clark_frame"]
+    assert len(frames) == 2 and {beta for _, beta in frames} == {1.0 + 0j, sp._frame_point}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -259,7 +271,7 @@ def test_source_operator_matches_quadrature(stress_family, stress_spaces, alpha)
 
 @pytest.mark.parametrize("family", ["random 64", "random 128"])
 def test_fraction_route_matches_power_sum_at_large_degree(stress_spaces, family):
-    # the vector-Horner and Stein route against sum c_k S_alpha^k from explicit
+    # the vector-Horner and Clark-frame route against sum c_k S_alpha^k from explicit
     # powers, at degrees n-1 and 2n+1
     sp = stress_spaces[family]
     n = sp.dim

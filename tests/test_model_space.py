@@ -63,7 +63,7 @@ def _grid_built(space):
 
 
 def test_grid_is_built_only_when_read():
-    # the closed-form and Stein routes never integrate on the circle
+    # the closed-form and Clark-frame routes never integrate on the circle
     u = sample_blaschke(np.random.default_rng(16), 16)
     sp = ModelSpace(u)
     rng = np.random.default_rng(3)

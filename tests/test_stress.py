@@ -8,7 +8,7 @@ both routes to the eigenvalues of S_alpha written out entry by entry, and
 inside the disc also to Smith's inclusion discs, which stay certain where
 those eigenvalues are ill-conditioned.  Operators and the conjugation came from
 the space's quadrature grid, which under-resolved them on repeated zeros near
-the circle; they are now Stein sums on the closed-form shift.  The fraction
+the circle; they are now built in the Clark frame of the space.  The fraction
 reduction took a remainder modulo the monomial expansion of u_alpha; it is now
 the projection phi(S') K'_0.  Every call must pass its own construction checks,
 and the whole verify battery must pass on the stress corpus.
@@ -22,8 +22,9 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from ttolab import (AlphaOnCircle, BlaschkeProduct, ModelSpace, NumericalFailure,
-                    RootSolveError, classify_type, clark_data, crofoot, sample_blaschke,
-                    sample_typed_tto, verify_space)
+                    RootSolveError, build_refined, build_tto, classify_type, clark_data,
+                    crofoot, sample_blaschke, sample_symbol, sample_typed_tto, verify_space)
+from ttolab.tto import spectral_norm
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -244,6 +245,18 @@ def test_crofoot_refusal_names_the_rounding_floor(stress_spaces):
     message = str(info.value)
     assert f"1 - max|w| = {depth:.3e}" in message, message
     assert f"eps/(1 - max|w|) = {np.finfo(float).eps / depth:.3e}" in message, message
+
+
+def test_build_frame_keeps_near_circle_operators_accurate():
+    # |u(0)| = 0.923 here: in the frame at u = 1 the gain 1/(1 - conj(u(0))) of S_1
+    # is about 13 and these gaps read 2.3e-12 to 4.9e-12; at -u(0)/|u(0)|,
+    # where |1 - conj(beta) u(0)| = 1 + |u(0)|, they stay below 8e-13
+    sp = ModelSpace(BlaschkeProduct((0.995,) * 16))
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        sym = sample_symbol(sp, rng)
+        ref = build_refined(sp, lambda pts, uv: sym.values_at(sp, pts, uv)).mat
+        assert spectral_norm(build_tto(sp, sym).mat - ref) <= 1.5e-12 * spectral_norm(ref)
 
 
 CROFOOT_AND_CLARK = {

@@ -45,6 +45,8 @@ from ttolab.sampling import (
 from ttolab.tolerances import VERDICT_TOL
 from ttolab.tto import _norm_at_most, spectral_norm
 
+from conftest import STRESS_FAMILIES, stein_solve
+
 
 def test_constant_symbol_gives_identity(z2):
     a = build_tto(z2, SymbolExpr(constant=3.0 - 1j))
@@ -537,6 +539,37 @@ def test_build_tto_matches_quadrature(stress_family, stress_spaces):
     ref = build_refined(sp, lambda pts, uv: sym.values_at(sp, pts, uv)).mat
     built = build_tto(sp, sym).mat
     assert np.linalg.norm(built - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
+
+
+# every stress family and a degree-1 space, where the frame is one point
+PIN_SPACES = [*STRESS_FAMILIES, "degree 1"]
+
+
+def _pin_space(stress_spaces, name):
+    return stress_spaces[name] if name in stress_spaces else ModelSpace(
+        BlaschkeProduct((0.3 + 0.2j,)))
+
+
+@pytest.mark.parametrize("name", PIN_SPACES)
+def test_build_tto_matches_stein_solve(stress_spaces, name):
+    # the frame build against the Stein sum of A - S A S^* = (phi + c K_0) (x) K_0 + K_0 (x) psi
+    sp = _pin_space(stress_spaces, name)
+    s = compressed_shift(sp).mat
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        sym = sample_symbol(sp, rng)
+        phi, psi = sym.standard_parts(sp)
+        ref = stein_solve(s, s.conj().T, outer(phi, sp.k0) + outer(sp.k0, psi))
+        assert spectral_norm(build_tto(sp, sym).mat - ref) <= 1e-12 * spectral_norm(ref)
+
+
+@pytest.mark.parametrize("name", PIN_SPACES)
+def test_conjugation_matches_stein_solve(stress_spaces, name):
+    # C S C = S^* and C K_0 = Kt_0 give M - S M conj(S) = K_0 Kt_0^T for C f = M conj(f)
+    sp = _pin_space(stress_spaces, name)
+    s, k0, kt0 = sp.u.shift_data
+    ref = stein_solve(s, s.conj(), np.outer(k0, kt0))
+    assert spectral_norm(sp.conj_matrix - ref) <= 1e-12 * spectral_norm(ref)
 
 
 def test_conjugation_matches_quadrature(stress_family, stress_spaces):

@@ -123,6 +123,8 @@ def test_fraction_invertibility_solves_once_per_route(monkeypatch):
         return solve(self, alpha)
 
     sp = ModelSpace(sample_blaschke(np.random.default_rng(16), 16))
+    # the space's Clark frame, behind build_tto and the conjugation, solves once per space
+    sp.conj_matrix
     monkeypatch.setattr(BlaschkeProduct, "solve_equals", counting)
     residual, trials, _ = _Verifier(sp, 0, 4, 1.0).check_fraction_invertibility()
     assert (residual, trials) == (0.0, 4)
