@@ -21,6 +21,7 @@ on the circle carry the Clark frames of K_u, in which operators are built.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -28,12 +29,22 @@ from typing import Sequence
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import PoleHit, RootSolveError
+from .errors import PoleHit, RootSolveError, SchemaError
 from .tolerances import DISC_MARGIN, POLE_TOL
 
 _EPS = np.finfo(float).eps
 # The interior route seeds from the Clark points of alpha/|alpha| times this.
 _SEED_TURN = cmath.exp(2j * cmath.pi / 1000)
+
+
+def complex_pair(raw, what: str) -> complex:
+    """A JSON [real, imag] pair of finite numbers as a complex, else SchemaError."""
+    # json reads NaN and Infinity and bool is an int; the bound refuses ints too large for a float
+    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max for v in raw)):
+        raise SchemaError(f"{what} must be a finite [real, imag] pair, got {raw!r}")
+    return complex(raw[0], raw[1])
 
 
 def _as_points(z):
@@ -92,9 +103,9 @@ class RationalPair:
 
     @classmethod
     def from_json(cls, obj) -> "RationalPair":
-        num = [complex(p[0], p[1]) for p in obj["numerator"]]
-        den = [complex(p[0], p[1]) for p in obj["denominator"]]
-        return cls(tuple(num), tuple(den))
+        num, den = (tuple(complex_pair(p, f"{key} coefficient") for p in obj[key])
+                    for key in ("numerator", "denominator"))
+        return cls(num, den)
 
 
 @dataclass(frozen=True)
@@ -426,6 +437,5 @@ class BlaschkeProduct:
 
     @classmethod
     def from_json(cls, obj) -> "BlaschkeProduct":
-        zeros = tuple(complex(p[0], p[1]) for p in obj["zeros"])
-        rot = obj.get("rotation", [1.0, 0.0])
-        return cls(zeros, complex(rot[0], rot[1]))
+        zeros = tuple(complex_pair(p, "zero") for p in obj["zeros"])
+        return cls(zeros, complex_pair(obj.get("rotation", [1.0, 0.0]), "rotation"))

@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, complex_pair
 from .classification import classify_type
 from .crofoot_clark import clark_data
 from .errors import NotATTO, SchemaError, TTOLabError
@@ -65,22 +65,13 @@ def canonical_json(obj) -> str:
     return json.dumps(_normalize(obj), sort_keys=True, indent=2)
 
 
-def _complex_pair(raw, what: str) -> complex:
-    # json reads NaN and Infinity; the bound also refuses ints too large for a float
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and abs(v) <= sys.float_info.max for v in raw)):
-        raise SchemaError(f"{what} must be a finite [real, imag] pair, got {raw!r}")
-    return complex(raw[0], raw[1])
-
-
 def load_problem(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             problem = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
     if not isinstance(problem, dict):
         raise SchemaError("problem file must hold a JSON object")
@@ -99,8 +90,8 @@ def parse_blaschke(obj) -> BlaschkeProduct:
     zeros_raw = obj["zeros"]
     if not isinstance(zeros_raw, list) or not zeros_raw:
         raise SchemaError('"u.zeros" must be a non-empty list of [real, imag] pairs')
-    zeros = [_complex_pair(z, "zero") for z in zeros_raw]
-    rotation = _complex_pair(obj.get("rotation", [1.0, 0.0]), "rotation")
+    zeros = [complex_pair(z, "zero") for z in zeros_raw]
+    rotation = complex_pair(obj.get("rotation", [1.0, 0.0]), "rotation")
     try:
         return BlaschkeProduct(tuple(zeros), rotation)
     except (ValueError, TTOLabError) as exc:
@@ -116,7 +107,7 @@ def parse_operator(space: ModelSpace, obj) -> np.ndarray:
         if (not isinstance(raw, list) or len(raw) != n
                 or any(not isinstance(row, list) or len(row) != n for row in raw)):
             raise SchemaError(f"matrix must be {n} x {n} for this model space")
-        mat = np.array([[_complex_pair(e, "matrix entry") for e in row]
+        mat = np.array([[complex_pair(e, "matrix entry") for e in row]
                         for row in raw])
         return mat
     try:
@@ -148,7 +139,7 @@ def run_task(space: ModelSpace, task, args) -> tuple[dict, bool]:
     if kind == "clark":
         if "alpha" not in task:
             raise SchemaError('clark task needs an "alpha" entry')
-        alpha = _complex_pair(task["alpha"], "alpha")
+        alpha = complex_pair(task["alpha"], "alpha")
         if abs(abs(alpha) - 1.0) > ON_CIRCLE_TOL:
             raise SchemaError(f"clark alpha must be unimodular, got |alpha| = {abs(alpha):.12g}")
         return {"kind": kind, "result": clark_data(space, alpha).to_json()}, True

@@ -8,14 +8,11 @@ are the solutions of u = alpha.  Multiplication by
 S' on K_{u_alpha} with the generalized shift S_alpha, T S' = S_alpha T, and
 transports every analytic symbol phi to the fraction symbol phi/(1 - alpha conj(u)).
 T is built from Clark's boundary kernels (Clark 1972), with no quadrature: at
-the n solutions zeta of u = 1, u_alpha(zeta) is the unimodular constant
-(1 - alpha)/(1 - conj(alpha)), so T carries each normalized kernel of
-K_{u_alpha} at zeta to conj(1 - alpha)/|1 - alpha| times the normalized kernel of
-K_u there, and T = conj(1 - alpha)/|1 - alpha| V V'^*.  (zeta, V) is the
-space's Clark frame at 1, cached like the one at -u(0)/|u(0)| that build_tto and
-the conjugation read; the transform keeps the unitarity residual that
-certifies it, and T S' = S_alpha T, which the construction does not solve for,
-is an independent check of it.  Since the analytic operator A_phi on K_{u_alpha}
+the n solutions zeta of u = beta = alpha/|alpha|, u_alpha(zeta) = beta too, so T
+carries each normalized kernel of K_{u_alpha} at zeta to a positive multiple of
+the normalized kernel of K_u there, and T = V V'^*.  crofoot gates T unitary;
+T S' = S_alpha T, which the construction does not solve for, is an independent
+check of it.  Since the analytic operator A_phi on K_{u_alpha}
 is phi(S'), the fraction operator is phi(S_alpha), which commutes with S_alpha: a
 polynomial fraction symbol is built by build_tto from its type-alpha symbol,
 fixed by phi(S_alpha) K_0, which Horner's rule forms on a vector.
@@ -45,6 +42,7 @@ of u - alpha, again with no eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -69,6 +67,7 @@ from .tto import (
     generalized_shift,
     spectral_norm,
     _membership,
+    _norm_at_most,
     _typed_symbol,
 )
 
@@ -108,16 +107,17 @@ def level_set_blaschke(u: BlaschkeProduct, alpha) -> BlaschkeProduct:
 
 @dataclass(frozen=True, eq=False)
 class CrofootTransform:
-    """Unitary multiplication operator T: K_{u_alpha} -> K_u as a matrix.
-
-    ``unitarity_residual`` is ||T^* T - I||, computed and bounded by crofoot.
-    """
+    """Unitary multiplication operator T: K_{u_alpha} -> K_u as a matrix."""
 
     alpha: complex
     source: ModelSpace
     target: ModelSpace
     mat: np.ndarray
-    unitarity_residual: float
+
+    @cached_property
+    def unitarity_residual(self) -> float:
+        """||T^* T - I||, which crofoot bounds by 1e-9."""
+        return spectral_norm(self.mat.conj().T @ self.mat - np.eye(self.target.dim))
 
     def map_to_target(self, operator) -> TTOMatrix:
         """Conjugate an operator on K_{u_alpha} into one on K_u."""
@@ -142,17 +142,15 @@ DRIFT_POINTS = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     """Build the Crofoot transform of K_u at interior alpha.
 
-    At the n solutions zeta of u = 1, u_alpha(zeta) = (1 - alpha)/(1 - conj(alpha))
-    is unimodular and (1 - conj(alpha) u) k'_zeta = (1 - |alpha|^2)/(1 - alpha) k_zeta,
+    At the n solutions zeta of u = beta, beta = alpha/|alpha| (1 when alpha = 0),
+    u_alpha(zeta) = beta and (1 - conj(alpha) u) k'_zeta = (1 + |alpha|) k_zeta,
     with k and k' the boundary kernels of K_u and K_{u_alpha} (Clark 1972).  So T
-    maps the normalized k'_zeta to conj(1 - alpha)/|1 - alpha| times the normalized
-    k_zeta, and T = conj(1 - alpha)/|1 - alpha| V V'^*, where the columns of V and V'
-    are those kernels.  (zeta, V) depends on u alone and is cached on the space, so
-    a call solves u = alpha, evaluates the basis of K_{u_alpha} at the n points
-    and takes one matrix product.  The constructed u_alpha is checked against
-    tau_alpha(u) at 16 boundary points to 1e-10, and T is checked unitary to 1e-9;
-    a refusal gives 1 - max|w| over the solutions w of u = alpha and the rounding
-    floor eps/(1 - max|w|) that the residual tracks.  T S' = S_alpha T is not
+    maps the normalized k'_zeta to a positive multiple of the normalized k_zeta,
+    and T = V V'^*, where the columns of V and V' are those kernels.  A call solves
+    u = alpha and u = beta, evaluates both bases at the n points and takes one
+    matrix product.  The constructed u_alpha is checked against tau_alpha(u) at 16
+    boundary points to 1e-10, and T is checked unitary to 1e-9 by _norm_at_most,
+    which raises NumericalFailure on a non-finite T.  T S' = S_alpha T is not
     solved for, so it stays an independent check.
     """
     alpha = complex(alpha)
@@ -164,17 +162,14 @@ def crofoot(space: ModelSpace, alpha) -> CrofootTransform:
     if not drift <= 1e-10:
         raise NumericalFailure(f"u_alpha drifts {drift:.3e} from tau_alpha(u)")
     source = ModelSpace(u_alpha)
-    points, kernels = space._clark_frame(1.0)
-    phase = np.conj(1.0 - alpha) / abs(1.0 - alpha)
-    mat = phase * (kernels @ source._boundary_kernels(points)[0].conj().T)
-    unitarity = spectral_norm(mat.conj().T @ mat - np.eye(space.dim))
-    if not unitarity <= 1e-9:
-        depth = 1.0 - float(np.max(np.abs(u_alpha._zero_arr)))
-        raise NumericalFailure(
-            f"Crofoot matrix unitarity residual {unitarity:.3e}: the solutions w of "
-            f"u = alpha reach 1 - max|w| = {depth:.3e}, a rounding floor "
-            f"eps/(1 - max|w|) = {np.finfo(float).eps / depth:.3e}")
-    return CrofootTransform(alpha, source, space, mat, unitarity)
+    points, kernels, _ = space._clark_basis(alpha / abs(alpha) if alpha else 1.0)
+    transform = CrofootTransform(
+        alpha, source, space, kernels @ source._boundary_kernels(points)[0].conj().T)
+    gram_gap = transform.mat.conj().T @ transform.mat - np.eye(space.dim)
+    if not _norm_at_most(gram_gap, (), 1e-9, floor=1.0)[0]:
+        raise NumericalFailure(f"Crofoot matrix unitarity residual "
+                               f"{transform.unitarity_residual:.3e} above 1e-9")
+    return transform
 
 
 # -- fraction symbols -----------------------------------------------------------
@@ -364,9 +359,8 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     if not abs(abs(alpha) - 1.0) <= ON_CIRCLE_TOL:
         raise AlphaNotUnimodular(f"|alpha| = {abs(alpha):.12f}")
     alpha /= abs(alpha)
-    points = space.u.solve_equals(alpha)
+    points, vecs, norms = space._clark_basis(alpha)
     n = space.dim
-    vecs, norms = space._boundary_kernels(points)
     weights = 1.0 / norms**2
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     vecs *= np.conj(lead) / np.abs(lead)

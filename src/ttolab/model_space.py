@@ -6,9 +6,11 @@ are stored as coordinates in the orthonormal Takenaka-Malmquist basis
     e_k(z) = sqrt(1 - |a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z - a_j)/(1 - conj(a_j) z),
 
 which reduces to the monomials 1, z, ..., z^{n-1} when u = z^n.  The shift and
-the kernels at 0 are closed forms in these coordinates; the conjugation is
-diagonal in a Clark frame, the normalized boundary kernels at the solutions of
-u = beta for unimodular beta (Clark 1972), which is cached per beta.
+the kernels at 0 are closed forms in these coordinates.  The normalized
+boundary kernels at the solutions of u = beta diagonalize S_beta for every
+unimodular beta (Clark 1972); a space caches one such frame, at
+beta = -u(0)/|u(0)|, in which the conjugation is diagonal and build_tto works,
+and builds any other afresh.
 Quadrature oracles and rational symbols use the uniform trapezoid rule on the
 circle, whose error decays geometrically for rational integrands with poles off
 the circle.  The conjugation and the grid are built the first time they are
@@ -100,9 +102,8 @@ class ModelSpace:
     def conj_matrix(self) -> np.ndarray:
         """M with C f = M conj(f), from a Clark frame, checked symmetric and involutive to 1e-10."""
         # C k_zeta = beta conj(zeta) k_zeta where u(zeta) = beta, and conj(V)^{-1} = V^T
-        beta = self._frame_point
-        points, vecs = self._clark_frame(beta)
-        m = (vecs * (beta * np.conj(points))) @ vecs.T
+        points, vecs = self._clark_frame
+        m = (vecs * (self._frame_point * np.conj(points))) @ vecs.T
         sym = float(np.max(np.abs(m - m.T)))
         invol = float(np.max(np.abs(m @ m.conj() - np.eye(self.dim))))
         if sym > 1e-10 or invol > 1e-10:
@@ -122,16 +123,18 @@ class ModelSpace:
                                    f"(kernel norms {np.min(norms):.3e} to {np.max(norms):.3e})")
         return vecs / norms, norms
 
-    def _clark_frame(self, beta) -> tuple[np.ndarray, np.ndarray]:
-        """(zeta, V): u(zeta) = beta and S_beta V = V diag(zeta), read-only and cached per beta."""
-        key = ("clark_frame", complex(beta))
-        if key not in self._op_cache:
-            points = self.u.solve_equals(beta)
-            vecs, _ = self._boundary_kernels(points)
-            for arr in (points, vecs):
-                arr.setflags(write=False)
-            self._op_cache[key] = (points, vecs)
-        return self._op_cache[key]
+    def _clark_basis(self, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(zeta, V, ||k_zeta||): u(zeta) = beta and S_beta V = V diag(zeta), built afresh."""
+        points = self.u.solve_equals(beta)
+        return (points, *self._boundary_kernels(points))
+
+    @cached_property
+    def _clark_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(zeta, V) of _clark_basis at _frame_point, read-only: the one frame a space caches."""
+        points, vecs, _ = self._clark_basis(self._frame_point)
+        for arr in (points, vecs):
+            arr.setflags(write=False)
+        return points, vecs
 
     def __repr__(self):
         return f"ModelSpace(degree={self.dim})"

@@ -22,8 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import RationalPair
-from .errors import NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SpaceMismatch
+from .blaschke import RationalPair, complex_pair
+from .errors import (NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SchemaError,
+                     SpaceMismatch)
 from .model_space import MAX_QUAD_POINTS, ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
 
@@ -78,11 +79,11 @@ def _norm_at_most(x: np.ndarray, scales, c: float, floor: float = 0.0) -> tuple[
     bx = _frobenius_bracket(x)
     bys = [_frobenius_bracket(y) for y in scales]
     if bx is not None and None not in bys:
-        if bx[1] <= c * max(floor, *(b[0] for b in bys)) * (1.0 - BRACKET_SLACK):
+        if bx[1] <= c * max([floor, *(b[0] for b in bys)]) * (1.0 - BRACKET_SLACK):
             return True, "frobenius"
-        if bx[0] > c * max(floor, *(b[1] for b in bys)) * (1.0 + BRACKET_SLACK):
+        if bx[0] > c * max([floor, *(b[1] for b in bys)]) * (1.0 + BRACKET_SLACK):
             return False, "frobenius"
-    bound = c * max(floor, *(_finite_norm(y, "operator norm") for y in scales))
+    bound = c * max([floor, *(_finite_norm(y, "operator norm") for y in scales)])
     return bool(_finite_norm(x, "residual") <= bound), "svd"
 
 
@@ -263,24 +264,24 @@ def coanalytic_symbol(f: ModelVector) -> SymbolExpr:
 
 
 def symbol_from_json(space: ModelSpace, obj) -> SymbolExpr:
+    """The inverse of SymbolExpr.to_json; every complex goes through complex_pair."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"symbol must be an object, got {obj!r}")
+
     def vec(key):
         raw = obj.get(key)
-        if raw is None:
-            return None
-        return space.vector([complex(p[0], p[1]) for p in raw])
+        return None if raw is None else space.vector(
+            [complex_pair(p, f"{key} coordinate") for p in raw])
 
-    const = obj.get("constant", [0.0, 0.0])
     terms = []
     for t in obj.get("rational_terms", []):
+        if not isinstance(t, dict):
+            raise SchemaError(f"rational term must be an object, got {t!r}")
         ca = t.get("clark_alpha")
-        terms.append(
-            RationalTerm(
-                RationalPair.from_json(t["pair"]),
-                None if ca is None else complex(ca[0], ca[1]),
-            )
-        )
+        terms.append(RationalTerm(RationalPair.from_json(t["pair"]),
+                                  None if ca is None else complex_pair(ca, "clark_alpha")))
     return SymbolExpr(vec("analytic"), vec("coanalytic"),
-                      complex(const[0], const[1]), tuple(terms))
+                      complex_pair(obj.get("constant", [0.0, 0.0]), "constant"), tuple(terms))
 
 
 # -- construction -------------------------------------------------------------
@@ -360,7 +361,7 @@ def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:
     phi, psi = (f.coords for f in symbol.standard_parts(space))
     s, m, k0 = compressed_shift(space).mat, space.conj_matrix, space.k0.coords
     u0bar, beta = np.conj(space.u.value_at_zero), space._frame_point
-    zeta, v = space._clark_frame(beta)
+    zeta, v = space._clark_frame
     gbar = np.conj(beta / (1.0 - beta * u0bar))
     a = phi + np.vdot(psi, k0) * k0 - u0bar * (s @ (m @ psi.conj()))
     b = psi + np.vdot(phi, k0) * k0 - u0bar * (s @ (m @ phi.conj()))

@@ -501,9 +501,9 @@ class _Verifier:
             sym_b = sampling.sample_typed_symbol(sp, self.rng, alpha)
             worst = max(worst, classification.product_rank2_residual(sp, sym_a, sym_b))
             sym_c = sampling.sample_typed_symbol(sp, self.rng, alpha + 1.0 + 0.5j)
-            r_mixed = classification.product_rank2_residual(sp, sym_a, sym_c)
             product = build_tto(sp, sym_a).mat @ build_tto(sp, sym_c).mat
-            if (r_mixed <= 1e-6) != is_tto(sp, product).passed:
+            if (classification.product_rank2_condition(sp, sym_a, sym_c)
+                    != is_tto(sp, product).passed):
                 return 1.0, self.trials, "rank-two test disagrees with membership"
         return worst, self.trials, "rank-two compression vanishes iff the product is one"
 

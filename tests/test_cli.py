@@ -152,6 +152,33 @@ def test_schema_error_bad_complex_pair(tmp_path, capsys):
     assert code == 2
 
 
+PAIR = '{"numerator": [[1, 0]], "denominator": [[2, 0]]}'
+BIG = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("symbol", [
+    "5",
+    '{"constant": [1]}',
+    '{"rational_terms": [5]}',
+    '{"rational_terms": [{"pair": %s, "clark_alpha": "x"}]}' % PAIR,
+    '{"rational_terms": [{"pair": %s, "clark_alpha": [0.1]}]}' % PAIR,
+    '{"analytic": [[%s, 0], [0, 0]]}' % BIG,
+    '{"rational_terms": [{"pair": {"numerator": [[%s, 0]], "denominator": [[2, 0]]}}]}' % BIG,
+    '{"analytic": [[true, 0], [0, 0]]}',
+    '{"analytic": [[1, 0, 0], [0, 0]]}',
+    '{"constant": [%s, 0]}' % ("1" + "0" * 5000),
+], ids=["number", "short constant", "number term", "string alpha", "short alpha",
+        "big analytic", "big numerator", "bool coordinate", "triple", "unparsable integer"])
+def test_schema_error_malformed_symbol(tmp_path, capsys, symbol):
+    # every pair goes through one strict reader: exit 2 with one error line
+    path = tmp_path / "problem.json"
+    path.write_text('{"u": %s, "tasks": [{"kind": "is_tto", "operator": {"symbol": %s}}]}'
+                    % (json.dumps(Z2), symbol))
+    code, out, err = run(capsys, ["--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_schema_error_operator_needs_one_source(tmp_path, capsys):
     problem = {"u": Z2, "tasks": [{"kind": "is_tto", "operator": {}}]}
     code, _, err = run(capsys, ["--input", write_problem(tmp_path, problem)])

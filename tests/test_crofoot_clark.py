@@ -143,7 +143,9 @@ def test_crofoot_matches_stein_solve(stress_spaces, stress_family, alpha):
     assert spectral_norm(transform.mat - stein) <= 1e-12
 
 
-def test_crofoot_solves_u_equals_one_once_per_space(monkeypatch):
+def test_crofoot_solves_on_the_circle_at_alpha_over_its_modulus(monkeypatch):
+    # T = V V'^* in the Clark basis at beta = alpha/|alpha| (1 at alpha = 0), built
+    # afresh: a call solves u = alpha and u = beta, and caches no frame
     calls = []
     original = BlaschkeProduct.solve_equals
 
@@ -155,21 +157,28 @@ def test_crofoot_solves_u_equals_one_once_per_space(monkeypatch):
     sp = ModelSpace(BlaschkeProduct((0.5, 0.5, -0.2)))
     for alpha in (0.3, -0.2 + 0.4j, 0.0):
         crofoot(sp, alpha)
-    assert calls.count(1.0) == 1
-    points, kernels = sp._clark_frame(1.0)
-    assert not points.flags.writeable and not kernels.flags.writeable
+    assert calls == [0.3, 1.0, -0.2 + 0.4j, (-0.2 + 0.4j) / abs(-0.2 + 0.4j), 0.0, 1.0]
+    assert "_clark_frame" not in vars(sp)
 
 
-def test_a_space_caches_at_most_two_clark_frames():
-    # build_tto and the conjugation read the frame at -u(0)/|u(0)|, crofoot the one
-    # at u = 1; clark_data takes any alpha and must not grow the cache per call
+def test_a_space_caches_one_read_only_clark_frame(monkeypatch):
+    # build_tto and the conjugation read the frame at -u(0)/|u(0)|; crofoot and
+    # clark_data build theirs afresh and must not grow the space's state
+    calls = []
+    original = BlaschkeProduct.solve_equals
+    monkeypatch.setattr(BlaschkeProduct, "solve_equals",
+                        lambda self, alpha: calls.append(complex(alpha)) or original(self, alpha))
     sp = ModelSpace(BlaschkeProduct((0.5, 0.5, -0.2)))
     build_tto(sp, SymbolExpr(analytic=sp.k0, coanalytic=sp.kt0))
-    crofoot(sp, 0.3)
+    state = set(vars(sp)) | set(sp._op_cache)
+    for alpha in (0.3, -0.2 + 0.4j, 0.0):
+        crofoot(sp, alpha)
     for t in (0.1, 0.7, 2.0):
         clark_data(sp, np.exp(1j * t))
-    frames = [key for key in sp._op_cache if isinstance(key, tuple) and key[0] == "clark_frame"]
-    assert len(frames) == 2 and {beta for _, beta in frames} == {1.0 + 0j, sp._frame_point}
+    assert "_clark_frame" in state and set(vars(sp)) | set(sp._op_cache) == state
+    assert calls.count(sp._frame_point) == 1
+    points, kernels = sp._clark_frame
+    assert not points.flags.writeable and not kernels.flags.writeable
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -198,8 +207,13 @@ def test_crofoot_gates_refuse_nan(monkeypatch, pair_space):
     with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="drifts"):
         crofoot(pair_space, 0.3)
     monkeypatch.undo()
-    monkeypatch.setattr(crofoot_clark, "spectral_norm", lambda mat: np.nan)
-    with pytest.raises(NumericalFailure, match="unitarity residual nan"):
+    # a non-finite T reaches the unitarity gate, whose norm decision refuses it
+    original = ModelSpace._clark_basis
+    monkeypatch.setattr(ModelSpace, "_clark_basis",
+                        lambda self, beta: (lambda z, v, r: (z, v * np.nan, r))(
+                            *original(self, beta)))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure,
+                                                      match="residual nan is not finite"):
         crofoot(pair_space, 0.3)
     monkeypatch.undo()
     monkeypatch.setattr(crofoot_clark, "disc_automorphism", lambda w, alpha: np.nan)

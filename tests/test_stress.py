@@ -23,8 +23,11 @@ import pytest
 
 from ttolab import (AlphaOnCircle, BlaschkeProduct, ModelSpace, NumericalFailure,
                     RootSolveError, build_refined, build_tto, classify_type, clark_data,
-                    crofoot, sample_blaschke, sample_symbol, sample_typed_tto, verify_space)
+                    compressed_shift, crofoot, generalized_shift, sample_blaschke,
+                    sample_symbol, sample_typed_tto, verify_space)
 from ttolab.tto import spectral_norm
+
+from conftest import STRESS_FAMILIES
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -236,15 +239,40 @@ def test_crofoot_reaches_near_the_circle(u, gap):
     assert transform.unitarity_residual <= 1e-9
 
 
-def test_crofoot_refusal_names_the_rounding_floor(stress_spaces):
-    sp = stress_spaces["random 16"]
-    alpha = (1.0 - 1e-7) * np.exp(0.4j)
-    depth = 1.0 - np.max(np.abs(sp.u.solve_equals(alpha)))
-    with pytest.raises(NumericalFailure, match="unitarity residual") as info:
-        crofoot(sp, alpha)
-    message = str(info.value)
-    assert f"1 - max|w| = {depth:.3e}" in message, message
-    assert f"eps/(1 - max|w|) = {np.finfo(float).eps / depth:.3e}" in message, message
+REACH_FAMILIES = {
+    "random 16": STRESS_FAMILIES["random 16"],
+    "random 128": STRESS_FAMILIES["random 128"],
+    "near circle 0.995 x8": STRESS_FAMILIES["near circle 0.995 x8"],
+    "repeated 0.99 x32": BlaschkeProduct((0.99,) * 32),
+    "repeated 0.5 x16": STRESS_FAMILIES["repeated 0.5 x16"],
+}
+
+
+@pytest.mark.parametrize("family", REACH_FAMILIES)
+def test_crofoot_is_unitary_at_every_angle_near_the_circle(family):
+    # in the Clark basis at alpha/|alpha| no phase depends on the angle of alpha,
+    # so T stays unitary at every angle down to 1 - |alpha| = 1e-8
+    sp = ModelSpace(REACH_FAMILIES[family])
+    for angle in np.pi * np.arange(12) / 6 + 0.4:
+        for gap in (1e-4, 1e-6, 1e-8):
+            alpha = (1.0 - gap) * np.exp(1j * angle)
+            transform = crofoot(sp, alpha)
+            assert transform.unitarity_residual <= 1e-12, (angle, gap)
+            t = transform.mat
+            shift_gap = t.conj().T @ generalized_shift(sp, alpha).mat @ t - compressed_shift(
+                transform.source).mat
+            assert spectral_norm(shift_gap) <= 1e-12, (angle, gap)
+
+
+def test_crofoot_refusal_names_the_residual_and_bound(monkeypatch, stress_spaces):
+    # a target basis scaled by 2 makes T^* T = 4 I, so the gate reads 3
+    original = ModelSpace._clark_basis
+    monkeypatch.setattr(ModelSpace, "_clark_basis",
+                        lambda self, beta: (lambda z, v, r: (z, 2.0 * v, r))(
+                            *original(self, beta)))
+    with pytest.raises(NumericalFailure) as info:
+        crofoot(stress_spaces["random 16"], (1.0 - 1e-7) * np.exp(0.4j))
+    assert str(info.value) == "Crofoot matrix unitarity residual 3.000e+00 above 1e-9"
 
 
 def test_build_frame_keeps_near_circle_operators_accurate():

@@ -563,6 +563,21 @@ def test_build_tto_matches_stein_solve(stress_spaces, name):
         assert spectral_norm(build_tto(sp, sym).mat - ref) <= 1e-12 * spectral_norm(ref)
 
 
+def test_build_tto_is_a_loewner_matrix_in_other_clark_frames(stress_family, stress_spaces):
+    # Sarason's identity makes A - S_beta A S_beta^* rank two, and in a Clark basis
+    # V of S_beta that defect is the Loewner matrix (1 - zeta_i conj(zeta_j)) V^* A V;
+    # build_tto works in the frame at _frame_point, so these three are not its own
+    sp = stress_spaces[stress_family]
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        a = build_tto(sp, sample_symbol(sp, rng)).mat
+        for beta in (1.0, 1j, -sp._frame_point):
+            _, v, _ = sp._clark_basis(beta)
+            s = generalized_shift(sp, beta).mat
+            sv = np.linalg.svd(v.conj().T @ (a - s @ a @ s.conj().T) @ v, compute_uv=False)
+            assert sv[2] <= 1e-12 * sv[0], (beta, sv[2] / sv[0])
+
+
 @pytest.mark.parametrize("name", PIN_SPACES)
 def test_conjugation_matches_stein_solve(stress_spaces, name):
     # C S C = S^* and C K_0 = Kt_0 give M - S M conj(S) = K_0 Kt_0^T for C f = M conj(f)
