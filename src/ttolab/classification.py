@@ -276,8 +276,8 @@ def commutant_residual(space: ModelSpace, operator, alpha) -> float:
     """Relative norm of the commutator with the generalized shift S_alpha."""
     a = as_matrix(space, operator)
     s_alpha = generalized_shift(space, alpha).mat
-    comm = spectral_norm(a @ s_alpha - s_alpha @ a)
-    return comm / max(spectral_norm(a), 1e-300)
+    comm = spectral_norm(a @ s_alpha - s_alpha @ a, "commutator")
+    return comm / max(spectral_norm(a, "operator norm"), 1e-300)
 
 
 def commutant_check(space: ModelSpace, operator, alpha) -> bool:
@@ -365,7 +365,7 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
 
     When both are typed the tags must agree.  Raises SingularMatrix when the
     smallest singular value is below VERDICT_TOL times the norm, NotATTO when the
-    input fails membership.
+    input fails membership, NumericalFailure when an entry is not finite.
     """
     a = as_matrix(space, operator)
     svals = np.linalg.svd(a, compute_uv=False)

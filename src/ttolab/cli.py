@@ -87,14 +87,11 @@ def load_problem(path: str) -> dict:
 def parse_blaschke(obj) -> BlaschkeProduct:
     if not isinstance(obj, dict) or "zeros" not in obj:
         raise SchemaError('"u" must be an object with a "zeros" list')
-    zeros_raw = obj["zeros"]
-    if not isinstance(zeros_raw, list) or not zeros_raw:
+    if not isinstance(obj["zeros"], list) or not obj["zeros"]:
         raise SchemaError('"u.zeros" must be a non-empty list of [real, imag] pairs')
-    zeros = [complex_pair(z, "zero") for z in zeros_raw]
-    rotation = complex_pair(obj.get("rotation", [1.0, 0.0]), "rotation")
     try:
-        return BlaschkeProduct(tuple(zeros), rotation)
-    except (ValueError, TTOLabError) as exc:
+        return BlaschkeProduct.from_json(obj)
+    except ValueError as exc:
         raise SchemaError(f"invalid Blaschke product: {exc}") from exc
 
 

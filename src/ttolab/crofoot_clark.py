@@ -242,7 +242,8 @@ class IntertwineReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_analytic, self.residual_conjugate, self.norm_gap)
+        # np.max, unlike max, keeps a NaN
+        return float(np.max([self.residual_analytic, self.residual_conjugate, self.norm_gap]))
 
 
 def crofoot_intertwine_check(transform: CrofootTransform, phi) -> IntertwineReport:

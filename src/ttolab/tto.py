@@ -29,14 +29,10 @@ from .model_space import MAX_QUAD_POINTS, ModelSpace, ModelVector, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    # LAPACK returns singular values in descending order
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def _finite_norm(mat: np.ndarray, what: str) -> float:
-    """spectral_norm, raising NumericalFailure when it is not finite."""
-    norm = spectral_norm(mat) if np.isfinite(mat).all() else np.nan
+def spectral_norm(mat: np.ndarray, what: str = "spectral norm") -> float:
+    """Largest singular value; NumericalFailure naming ``what`` when it is not finite."""
+    # LAPACK returns singular values in descending order; numpy's SVD raises on NaN
+    norm = float(np.linalg.svd(mat, compute_uv=False)[0]) if np.isfinite(mat).all() else np.nan
     if not np.isfinite(norm):
         raise NumericalFailure(f"{what} {norm:.3e} is not finite")
     return norm
@@ -83,8 +79,8 @@ def _norm_at_most(x: np.ndarray, scales, c: float, floor: float = 0.0) -> tuple[
             return True, "frobenius"
         if bx[0] > c * max([floor, *(b[1] for b in bys)]) * (1.0 + BRACKET_SLACK):
             return False, "frobenius"
-    bound = c * max([floor, *(_finite_norm(y, "operator norm") for y in scales)])
-    return bool(_finite_norm(x, "residual") <= bound), "svd"
+    bound = c * max([floor, *(spectral_norm(y, "operator norm") for y in scales)])
+    return bool(spectral_norm(x, "residual") <= bound), "svd"
 
 
 def outer(f: ModelVector, g: ModelVector) -> np.ndarray:
@@ -113,7 +109,7 @@ class TTOMatrix:
         return TTOMatrix(self.mat.conj().T, self.space)
 
     def norm(self) -> float:
-        return spectral_norm(self.mat)
+        return spectral_norm(self.mat, "operator norm")
 
     def apply(self, f: ModelVector) -> ModelVector:
         if not same_space(f.space, self.space):
@@ -143,15 +139,18 @@ class TTOMatrix:
 
 
 def as_matrix(space: ModelSpace, operator) -> np.ndarray:
-    """Accept a TTOMatrix bound to ``space`` or a bare (n, n) array."""
+    """A TTOMatrix bound to ``space`` or a bare (n, n) array; NumericalFailure if not finite."""
     if isinstance(operator, TTOMatrix):
         if not same_space(operator.space, space):
             raise SpaceMismatch("operator belongs to a different model space")
-        return operator.mat
-    arr = np.asarray(operator, dtype=complex)
-    n = space.dim
-    if arr.shape != (n, n):
-        raise ValueError(f"matrix shape {arr.shape} != ({n}, {n})")
+        arr = operator.mat
+    else:
+        arr = np.asarray(operator, dtype=complex)
+        n = space.dim
+        if arr.shape != (n, n):
+            raise ValueError(f"matrix shape {arr.shape} != ({n}, {n})")
+    if not np.isfinite(arr).all():
+        raise NumericalFailure("operator has an entry that is not finite")
     return arr
 
 
@@ -446,11 +445,11 @@ class DefectDecomposition:
 
     @cached_property
     def residual(self) -> float:
-        return _finite_norm(self.compressed_defect, "defect residual")
+        return spectral_norm(self.compressed_defect, "defect residual")
 
     @cached_property
     def tol(self) -> float:
-        return float(VERDICT_TOL * _finite_norm(self.operator, "operator norm"))
+        return float(VERDICT_TOL * spectral_norm(self.operator, "operator norm"))
 
     def __bool__(self):
         return self.passed
@@ -476,7 +475,7 @@ def is_tto(space: ModelSpace, operator) -> DefectDecomposition:
     if _frobenius_bracket(a) is None:
         # outside the bracket's range ||A|| is read now, so that one that is
         # not finite raises before the defect, which could overflow, is formed
-        _finite_norm(a, "operator norm")
+        spectral_norm(a, "operator norm")
     d = defect(space, a)
     k0 = space.k0.coords
     nk2 = float(np.real(np.vdot(k0, k0)))
@@ -551,7 +550,7 @@ def c_symmetry_residual(space: ModelSpace, operator) -> float:
     """Residual of C A C = A^*, as || M conj(A) - A^H M || with M the conjugation matrix."""
     a = as_matrix(space, operator)
     m = space.conj_matrix
-    return spectral_norm(m @ a.conj() - a.conj().T @ m)
+    return spectral_norm(m @ a.conj() - a.conj().T @ m, "C-symmetry residual")
 
 
 @dataclass(frozen=True)
@@ -569,7 +568,8 @@ class KernelShiftReport:
 
     @property
     def max_residual(self) -> float:
-        return max(v for v in self.residuals.values() if v is not None)
+        # np.max, unlike max, keeps a NaN
+        return float(np.max([v for v in self.residuals.values() if v is not None]))
 
 
 def kernel_shift_identities(space: ModelSpace, lam) -> KernelShiftReport:

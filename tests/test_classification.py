@@ -368,13 +368,13 @@ def test_cli_is_tto_task_tests_once(triple_space, defect_tests):
                                    "check_rank_one_boundary", "check_defect_rank_two"])
 def test_verify_checks_test_each_operator_once(triple_space, defect_tests, check):
     # the rank-one checks read the residual of the test behind their classification
-    residual, trials, _ = getattr(verify._Verifier(triple_space, 3, 5, 1.0), check)()
+    residual, trials, _ = verify._Verifier(triple_space, 3, 5).run(check)
     assert trials == 5 and residual < 1e-9
     assert len(defect_tests) == trials
 
 
 def test_operator_pool_builds_rank_one_operators_untested(triple_space, defect_tests):
     # five pool operators, one of them Kt_lam (x) K_lam, and no membership test
-    residual, trials, _ = verify._Verifier(triple_space, 3, 5, 1.0).check_c_symmetry()
+    residual, trials, _ = verify._Verifier(triple_space, 3, 5).run("check_c_symmetry")
     assert trials == 5 and residual < 1e-9
     assert defect_tests == []

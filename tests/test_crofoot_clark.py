@@ -8,6 +8,7 @@ from ttolab import (
     AlphaNotUnimodular,
     AlphaOnCircle,
     BlaschkeProduct,
+    IntertwineReport,
     ModelSpace,
     NumericalFailure,
     OutsideClosedDisc,
@@ -548,3 +549,8 @@ def test_nan_fails_range_guards(triple_space, entry):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             call(triple_space)
+
+
+def test_intertwine_report_maximum_keeps_nan():
+    # max(0.1, nan, 0.2) is 0.2: a NaN residual read as a small one
+    assert np.isnan(IntertwineReport(0.1, np.nan, 0.2).max_residual)

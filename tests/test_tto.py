@@ -7,6 +7,7 @@ import pytest
 
 from ttolab import (
     BlaschkeProduct,
+    KernelShiftReport,
     ModelSpace,
     NotATTO,
     NumericalFailure,
@@ -15,6 +16,7 @@ from ttolab import (
     RationalTerm,
     SpaceMismatch,
     SymbolExpr,
+    TTOMatrix,
     analytic_symbol,
     build_refined,
     build_tto,
@@ -22,10 +24,14 @@ from ttolab import (
     circle_grid,
     classify_type,
     coanalytic_symbol,
+    commutant_check,
+    commutant_residual,
+    commutant_symbol,
     compressed_shift,
     defect,
     extract_symbol,
     generalized_shift,
+    inverse_type_check,
     is_tto,
     kernel_shift_identities,
     outer,
@@ -159,6 +165,27 @@ def test_is_tto_refuses_non_finite_norm(pair_space, entry):
         is_tto(pair_space, mat)
     with pytest.raises(NumericalFailure, match="not finite"):
         classify_type(pair_space, mat)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "inverse_type_check": inverse_type_check,
+    "commutant_residual": lambda sp, a: commutant_residual(sp, a, 0.5),
+    "commutant_check": lambda sp, a: commutant_check(sp, a, 0.5),
+    "commutant_symbol": lambda sp, a: commutant_symbol(sp, a, 0.5),
+    "c_symmetry_residual": c_symmetry_residual,
+    "TTOMatrix.norm": lambda sp, a: TTOMatrix(a, sp).norm(),
+}
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", list(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_operator_raises_numerical_failure(pair_space, call, entry):
+    # numpy's SVD raised LinAlgError on a NaN entry, an inf entry read a NaN
+    # norm, and commutant_symbol returned NaN coordinates
+    mat = 2.0 * np.eye(2, dtype=complex)
+    mat[0, 1] = entry
+    with pytest.raises(NumericalFailure, match="not finite"):
+        NON_FINITE_ENTRY_POINTS[call](pair_space, mat)
 
 
 # Relative perturbations eps ||A|| of a TTO, from none to rejection: those near
@@ -336,6 +363,13 @@ def test_kernel_shift_identities_at_origin(triple_space):
     assert rep.residuals["forward_kernel"] is None
     assert rep.residuals["backward_conjugate_kernel"] is None
     assert rep.max_residual < 1e-11
+
+
+def test_kernel_shift_report_maximum_keeps_nan():
+    # max(0.1, nan) is 0.1, which would have passed a check on this report
+    rep = KernelShiftReport(0.5, {"backward_kernel": 0.1, "forward_conjugate_kernel": np.nan,
+                                  "forward_kernel": 0.2, "backward_conjugate_kernel": None})
+    assert np.isnan(rep.max_residual)
 
 
 def test_kernel_shift_identities_interior_and_boundary(triple_space):

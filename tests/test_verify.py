@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ttolab import BlaschkeProduct, ModelSpace, crofoot_clark, sample_blaschke, verify_space
+from ttolab import (BlaschkeProduct, KernelShiftReport, ModelSpace, classification,
+                    crofoot_clark, sample_blaschke, verify, verify_space)
+from ttolab.cli import canonical_json
 from ttolab.verify import _Verifier
 
 
@@ -126,7 +128,7 @@ def test_fraction_invertibility_solves_once_per_route(monkeypatch):
     # the space's Clark frame, behind build_tto and the conjugation, solves once per space
     sp.conj_matrix
     monkeypatch.setattr(BlaschkeProduct, "solve_equals", counting)
-    residual, trials, _ = _Verifier(sp, 0, 4, 1.0).check_fraction_invertibility()
+    residual, trials, _ = _Verifier(sp, 0, 4).run("check_fraction_invertibility")
     assert (residual, trials) == (0.0, 4)
     assert len(calls) == 12
 
@@ -154,3 +156,35 @@ def test_difference_quotient_matches_direct_quotient():
             direct = (u.evaluate(z) - u.evaluate(lam)) / (z - lam)
             gap = np.max(np.abs(u._difference_quotient(z, lam) - direct))
             assert gap <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    # max(0.0, nan) is 0.0, so both checks used to pass with max_residual 0.0
+    monkeypatch.setattr(verify, "c_symmetry_residual", lambda space, operator: np.nan)
+    monkeypatch.setattr(verify, "kernel_shift_identities", lambda space, lam: KernelShiftReport(
+        lam, {"backward_kernel": 0.0, "forward_conjugate_kernel": np.nan}))
+    report = verify_space(ModelSpace(sample_blaschke(np.random.default_rng(8), 8)),
+                          seed=0, trials=4)
+    assert not report.passed
+    for name in ("c_symmetry", "kernel_shift_identities"):
+        check = {c.name: c for c in report.checks}[name]
+        assert not check.passed and np.isnan(check.max_residual)
+        assert check.trials == 4
+    assert '"max_residual": "nan"' in canonical_json(report.to_json())
+
+
+def test_contradicting_trial_counts_once_and_reads_one(z2, monkeypatch):
+    # the second classify_type call, in scalar_detection's second trial,
+    # contradicts the theorem: the check stops there, with 2 trials run
+    calls = []
+    classify = classification.classify_type
+
+    def wrong_second(space, operator):
+        calls.append(operator)
+        tag = classify(space, operator)
+        return classification.TypeTag("alpha", 0.5) if len(calls) == 2 else tag
+
+    monkeypatch.setattr(classification, "classify_type", wrong_second)
+    check = {c.name: c for c in verify_space(z2, seed=0, trials=4).checks}["scalar_detection"]
+    assert (check.passed, check.max_residual, check.trials) == (False, 1.0, 2)
+    assert check.note == "c I classified alpha"
