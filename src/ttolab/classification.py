@@ -25,6 +25,7 @@ from .errors import NumericalFailure, OutsideClosedDisc, SingularMatrix
 from .model_space import ModelSpace
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, TYPE_TOL, VERDICT_TOL
 from .tto import (
+    BRACKET_SLACK,
     DefectDecomposition,
     SymbolExpr,
     TTOMatrix,
@@ -35,6 +36,7 @@ from .tto import (
     is_tto,
     outer,
     spectral_norm,
+    _frobenius_bracket,
     _membership,
     _project_off_k0,
     _shift_conjugate,
@@ -226,7 +228,9 @@ class ProductClassification:
     """Verdict of the product theorem for a pair of truncated Toeplitz operators.
 
     ``kind`` is "not_tto", "trivial" (a scalar factor), or "both_type" with
-    ``alpha`` the shared type tag of the factors.
+    ``alpha`` the shared type tag of the factors.  ``membership_residual`` is
+    the Frobenius norm of the product's compressed defect, which lies between
+    its spectral norm (``is_tto(space, a @ b).residual``) and sqrt(n) times it.
     """
 
     kind: str
@@ -235,6 +239,17 @@ class ProductClassification:
     right: TypeTag
     product: TypeTag | None
     membership_residual: float
+
+
+def _defect_frobenius(membership: DefectDecomposition) -> float:
+    """||compressed defect||_F: the upper end of is_tto's bracket, or, where that is
+    out of range, the norm scaled by the largest modulus so that it cannot overflow."""
+    comp = membership.compressed_defect
+    bracket = _frobenius_bracket(comp)
+    if bracket is not None:
+        return float(bracket[1])
+    big = float(np.max(np.abs(comp)))
+    return big * float(np.linalg.norm(comp / big)) if big else 0.0
 
 
 def product_classification(space: ModelSpace, left, right) -> ProductClassification:
@@ -249,24 +264,22 @@ def product_classification(space: ModelSpace, left, right) -> ProductClassificat
     tag_a = _type_tag(space, _membership(space, a, "left factor fails the membership test"))
     tag_b = _type_tag(space, _membership(space, b, "right factor fails the membership test"))
     membership = is_tto(space, a @ b)
+    residual = _defect_frobenius(membership)
     if membership.passed:
         tag_p = _type_tag(space, membership)
         if tag_a.is_scalar or tag_b.is_scalar:
-            return ProductClassification("trivial", None, tag_a, tag_b, tag_p,
-                                         membership.residual)
+            return ProductClassification("trivial", None, tag_a, tag_b, tag_p, residual)
         if not tag_a.compatible_with(tag_b):
             raise NumericalFailure(
                 "product passed membership but factors share no type")
         if not (tag_p.is_scalar or tag_p.compatible_with(tag_a)):
             raise NumericalFailure("product type differs from the shared factor type")
-        return ProductClassification("both_type", tag_a, tag_a, tag_b, tag_p,
-                                     membership.residual)
+        return ProductClassification("both_type", tag_a, tag_a, tag_b, tag_p, residual)
     if tag_a.is_scalar or tag_b.is_scalar:
         raise NumericalFailure("scalar-factor product failed the membership test")
     if tag_a.compatible_with(tag_b):
         raise NumericalFailure("shared-type product failed the membership test")
-    return ProductClassification("not_tto", None, tag_a, tag_b, None,
-                                 membership.residual)
+    return ProductClassification("not_tto", None, tag_a, tag_b, None, residual)
 
 
 # -- commutant ----------------------------------------------------------------
@@ -351,7 +364,11 @@ def _classified_rank_one(space, op, expected):
 
 @dataclass(frozen=True)
 class InverseTypeReport:
-    """Outcome of the inverse theorem check on one invertible operator."""
+    """Outcome of the inverse theorem check on one invertible operator.
+
+    ``membership_residual`` is the Frobenius norm of the inverse's compressed
+    defect, between its spectral norm and sqrt(n) times it.
+    """
 
     input_tag: TypeTag
     inverse_is_tto: bool
@@ -365,15 +382,26 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
 
     When both are typed the tags must agree.  Raises SingularMatrix when the
     smallest singular value is below VERDICT_TOL times the norm, NotATTO when the
-    input fails membership, NumericalFailure when an entry is not finite.
+    input fails membership, NumericalFailure when an entry is not finite.  The
+    inverse is formed first: ||A||_F ||A^{-1}||_F bounds cond_2(A) above, so
+    below 1/VERDICT_TOL, less BRACKET_SLACK, it accepts A with no SVD; otherwise,
+    and when inv fails or its norm is out of the bracket's range, the singular
+    values decide.
     """
     a = as_matrix(space, operator)
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= VERDICT_TOL * svals[0]:
-        raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = None
+    brackets = (_frobenius_bracket(a), None if inv is None else _frobenius_bracket(inv))
+    if None in brackets or not (
+            brackets[0][1] * brackets[1][1] * VERDICT_TOL < 1.0 - BRACKET_SLACK):
+        svals = np.linalg.svd(a, compute_uv=False)
+        if svals[-1] <= VERDICT_TOL * svals[0]:
+            raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
     tag = _type_tag(space, _membership(space, a,
                                        "inverse_type_check input fails the membership test"))
-    membership = is_tto(space, np.linalg.inv(a))
+    membership = is_tto(space, np.linalg.inv(a) if inv is None else inv)
     if membership.passed:
         inv_tag = _type_tag(space, membership)
         consistent = tag.is_typed and tag.compatible_with(inv_tag)
@@ -384,7 +412,7 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
         inv_tag = None
         consistent = not tag.is_typed
     return InverseTypeReport(tag, membership.passed, inv_tag, consistent,
-                             membership.residual)
+                             _defect_frobenius(membership))
 
 
 @dataclass(frozen=True)

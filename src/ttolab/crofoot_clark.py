@@ -31,12 +31,12 @@ one S_alpha that are unimodular at its spectrum.  The spectrum is not taken
 from an eigensolver: solve_equals finds the points where the monotone boundary
 phase of u meets arg(alpha), so the eigen-relation S_alpha v_j = zeta_j v_j
 that clark_data certifies is an independent check of both.  clark_data builds
-the n boundary kernels in one basis evaluation and keeps the orthonormality
-and eigen-relation residuals that certify them.  The Clark points also seed
-the interior solutions of u = alpha behind crofoot and the fraction checks:
-solve_equals moves each Clark point of alpha/|alpha| inward to modulus about
-|alpha|^{1/|u'(zeta_j)|} and runs Aberth-Ehrlich sweeps on the product form
-of u - alpha, again with no eigensolver.
+the n boundary kernels in one basis evaluation and bounds the orthonormality
+and eigen-relation residuals that certify them, each computed when read.  The
+Clark points also seed the interior solutions of u = alpha behind crofoot and
+the fraction checks: solve_equals moves each Clark point of alpha/|alpha|
+inward to modulus about |alpha|^{1/|u'(zeta_j)|} and runs Aberth-Ehrlich sweeps
+on the product form of u - alpha, again with no eigensolver.
 """
 
 from __future__ import annotations
@@ -320,9 +320,11 @@ class ClarkData:
     ``points`` are the n distinct circle solutions zeta_j of u = alpha, ``weights``
     the Clark atoms 1/|u'(zeta_j)| = 1/||k_zeta_j||^2 of the boundary kernels, and
     ``eigenvectors`` the unitary matrix whose columns are those kernels normalized
-    (phases fixed by making the first nonnegligible coordinate positive real).
+    (phases fixed by making the first nonnegligible coordinate positive real);
+    ``points`` and ``eigenvectors`` are read-only.
     ``ortho_residual`` is ||V^* V - I|| and ``eigen_residual`` is
-    ||S_alpha V - V diag(points)||, both computed and bounded by clark_data.
+    ||S_alpha V - V diag(points)||; clark_data bounds both, and each is computed
+    on first read, from the arrays the bound was decided on.
     """
 
     alpha: complex
@@ -330,8 +332,22 @@ class ClarkData:
     weights: np.ndarray
     eigenvectors: np.ndarray
     space: ModelSpace
-    ortho_residual: float
-    eigen_residual: float
+
+    def _ortho_gap(self) -> np.ndarray:
+        v = self.eigenvectors
+        return v.conj().T @ v - np.eye(self.space.dim)
+
+    def _eigen_gap(self) -> np.ndarray:
+        v = self.eigenvectors
+        return generalized_shift(self.space, self.alpha).mat @ v - v * self.points[None, :]
+
+    @cached_property
+    def ortho_residual(self) -> float:
+        return spectral_norm(self._ortho_gap())
+
+    @cached_property
+    def eigen_residual(self) -> float:
+        return spectral_norm(self._eigen_gap())
 
     @property
     def total_mass(self) -> float:
@@ -353,8 +369,9 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     one call, divided by their norms and phase-fixed as arrays; the Clark atoms are
     1/||k_zeta||^2 = 1/|u'(zeta)|, so u' is never evaluated.  The kernels are not
     from an eigensolver, so the eigen-relation is an independent check.  Checks:
-    orthonormality and S_alpha v_j = zeta_j v_j to 1e-8, and the total mass against
-    ||K_0||^2 / |1 - conj(u(0)) alpha|^2 to 1e-8.
+    orthonormality and S_alpha v_j = zeta_j v_j to 1e-8, decided by _norm_at_most
+    (an SVD only when a Frobenius bracket straddles the bound), and the total mass
+    against ||K_0||^2 / |1 - conj(u(0)) alpha|^2 to 1e-8.
     """
     alpha = complex(alpha)
     if not abs(abs(alpha) - 1.0) <= ON_CIRCLE_TOL:
@@ -365,18 +382,19 @@ def clark_data(space: ModelSpace, alpha) -> ClarkData:
     weights = 1.0 / norms**2
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     vecs *= np.conj(lead) / np.abs(lead)
-    ortho = spectral_norm(vecs.conj().T @ vecs - np.eye(n))
-    s_alpha = generalized_shift(space, alpha).mat
-    eigen = spectral_norm(s_alpha @ vecs - vecs * points[None, :])
-    if ortho > 1e-8 or eigen > 1e-8:
-        raise NumericalFailure(
-            f"Clark spectral residuals ortho={ortho:.3e} eigen={eigen:.3e}")
+    for arr in (points, vecs):
+        arr.setflags(write=False)
+    data = ClarkData(alpha, points, weights, vecs, space)
+    if not (_norm_at_most(data._ortho_gap(), (), 1e-8, floor=1.0)[0]
+            and _norm_at_most(data._eigen_gap(), (), 1e-8, floor=1.0)[0]):
+        raise NumericalFailure(f"Clark spectral residuals ortho={data.ortho_residual:.3e} "
+                               f"eigen={data.eigen_residual:.3e}")
     u0 = space.u.value_at_zero
     expected_mass = float(np.real(np.vdot(space.k0.coords, space.k0.coords))) / abs(
         1.0 - np.conj(u0) * alpha) ** 2
     if abs(float(np.sum(weights)) - expected_mass) > 1e-8 * max(1.0, expected_mass):
         raise NumericalFailure("Clark measure mass disagrees with the kernel identity")
-    return ClarkData(alpha, points, weights, vecs, space, ortho, eigen)
+    return data
 
 
 def functional_calculus(data: ClarkData, values) -> TTOMatrix:
@@ -416,7 +434,8 @@ def classify_unitary(space: ModelSpace, operator) -> UnitaryClassification:
     a = as_matrix(space, operator)
     membership = _membership(space, a, "classify_unitary input fails the membership test")
     gap = spectral_norm(a.conj().T @ a - np.eye(space.dim))
-    if gap > VERDICT_TOL * max(1.0, spectral_norm(a) ** 2):
+    norm = spectral_norm(a)
+    if gap > VERDICT_TOL * max(1.0, norm ** 2):
         return UnitaryClassification(False, residual=gap)
     tag = _type_tag(space, membership)
     if tag.kind == "none" or tag.kind == "infinity":
@@ -432,9 +451,8 @@ def classify_unitary(space: ModelSpace, operator) -> UnitaryClassification:
         alpha = tag.value / abs(tag.value)
     data = clark_data(space, alpha)
     diag = data.eigenvectors.conj().T @ a @ data.eigenvectors
-    off = spectral_norm(diag - np.diag(np.diagonal(diag)))
     values = np.diagonal(diag).copy()
-    if (off > VERDICT_TOL * max(1.0, spectral_norm(a))
-            or np.max(np.abs(np.abs(values) - 1.0)) > VERDICT_TOL):
+    diagonal, _ = _norm_at_most(diag - np.diag(values), (), VERDICT_TOL, floor=max(1.0, norm))
+    if not diagonal or np.max(np.abs(np.abs(values) - 1.0)) > VERDICT_TOL:
         raise NumericalFailure("unitary operator failed to diagonalize unimodularly")
     return UnitaryClassification(True, tag.is_scalar, alpha, values, data, gap)

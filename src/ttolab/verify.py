@@ -120,10 +120,12 @@ class _Verifier:
         self.trials = max(1, int(trials))
         self.heavy_trials = max(2, self.trials // 10)
 
-    def run(self, method: str) -> tuple[float, int, str]:
-        """(worst, trials, note) of a check that calls record(*residuals) once per trial.
+    def run(self, method: str) -> tuple[float, int, str, bool]:
+        """(worst, trials, note, contradicted) of a check that calls record(*residuals)
+        once per trial.
 
-        worst keeps a NaN; a trial that raises _Contradiction records 1.0.
+        worst keeps a NaN; a trial that raises _Contradiction records 1.0 and sets
+        contradicted, which fails the check whatever its bound.
         """
         trials = []
 
@@ -132,11 +134,12 @@ class _Verifier:
 
         try:
             note = getattr(self, method)(record)
+            contradicted = False
         except _Contradiction as exc:
             record(1.0)
-            note = str(exc)
+            note, contradicted = str(exc), True
         worst = np.max([r for residuals in trials for r in residuals], initial=0.0)
-        return float(worst), len(trials), note
+        return float(worst), len(trials), note, contradicted
 
     # -- shared sampling helpers ----------------------------------------------
 
@@ -806,15 +809,16 @@ def verify_space(space: ModelSpace, seed: int = 0, trials: int = 50,
     Every check samples with its own slice of a single seeded generator, so a
     fixed (space, seed, trials) triple always produces the same report.
     tol_scale loosens (or tightens) every bound uniformly; indicator checks
-    keep their 0/1 semantics regardless.
+    keep their 0/1 semantics regardless, and a sample that contradicts its
+    theorem fails its check at any scale.
     """
     runner = _Verifier(space, seed, trials)
     results = []
     for name, base_bound, method in CHECKS:
         bound = base_bound if base_bound == INDICATOR_BOUND else base_bound * tol_scale
         try:
-            residual, done, note = runner.run(method)
-            passed = bool(residual <= bound)
+            residual, done, note, contradicted = runner.run(method)
+            passed = bool(residual <= bound) and not contradicted
         except TTOLabError as exc:
             residual, done, note = float("inf"), 0, f"error: {exc}"
             passed = False

@@ -278,6 +278,94 @@ def test_inverse_rejects_singular(z3):
         inverse_type_check(z3, compressed_shift(z3))
 
 
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+
+
+def _reference_inverse_gate(space, a):
+    """inverse_type_check's tags under the full-SVD condition gate it replaced."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals[-1] <= 1e-8 * svals[0]:
+        raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
+    inv = np.linalg.inv(a)
+    return classify_type(space, a), classify_type(space, inv) if is_tto(space, inv) else None
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_inverse_condition_gate_matches_svd_reference(n):
+    # V diag(d) V^* in a Clark eigenbasis is a typed operator with singular
+    # values |d|: conditions 1e6 to 1e11 straddle the gate's 1e8; at scales
+    # 1e-200 and 1e200 a non-singular input (or its inverse) reaches about 1e200,
+    # where both sides raise the same overflow warning in the classification
+    from ttolab.crofoot_clark import clark_data
+    from ttolab.sampling import sample_blaschke
+
+    sp = ModelSpace(sample_blaschke(rng_from(n), n))
+    v = clark_data(sp, np.exp(0.4j)).eigenvectors
+    phases = np.exp(2j * np.pi * rng_from(n + 1).random(n))
+    zn = ModelSpace(BlaschkeProduct((0.0,) * n))
+    cases = [(zn, np.zeros((n, n), dtype=complex)), (zn, compressed_shift(zn).mat)]
+    for cond in np.logspace(6, 11, 51):
+        d = phases * cond ** -np.linspace(0.0, 1.0, n)
+        cases += [(sp, v @ ((scale * d)[:, None] * v.conj().T)) for scale in (1e-200, 1.0, 1e200)]
+    singular = 0
+    for space, a in cases:
+        expected = _outcome(lambda: _reference_inverse_gate(space, a))
+        report = _outcome(lambda: inverse_type_check(space, a))
+        if isinstance(report, tuple):
+            assert report == expected
+            singular += report[0] is SingularMatrix
+        else:
+            assert (report.input_tag, report.inverse_tag) == expected
+            assert report.inverse_is_tto and report.consistent
+    assert 2 < singular < len(cases) - 2
+
+
+def test_typed_gates_take_no_svd(stress_spaces, monkeypatch):
+    from ttolab.crofoot_clark import clark_data, functional_calculus
+
+    sp = stress_spaces["random 16"]
+    rng = rng_from(52)
+    a = sample_typed_tto(sp, rng, 0.4 + 0.3j).mat
+    a = a + 3.0 * np.linalg.norm(a, 2) * np.eye(16)
+    b = sample_typed_tto(sp, rng, 0.4 + 0.3j).mat
+    unitary = functional_calculus(clark_data(sp, 1j), np.exp(1j * rng.uniform(0, 6, 16)))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    data = clark_data(sp, np.exp(0.3j))
+    assert inverse_type_check(sp, a).consistent
+    assert product_classification(sp, a, b).kind == "both_type"
+    assert calls == []
+    # the Clark residuals take one SVD each, on first read only
+    data.ortho_residual, data.eigen_residual, data.ortho_residual
+    assert len(calls) == 2
+    # classify_unitary: the reported gap ||A^* A - I|| and ||A||, nothing more
+    assert classify_unitary(sp, unitary).unitary
+    assert len(calls) == 4
+
+
+def test_product_residual_is_the_frobenius_bracket_of_membership(triple_space):
+    rng = rng_from(53)
+    for alpha in (0.3, 0.5j, None):
+        a = sample_typed_tto(triple_space, rng, 0.3)
+        b = (sample_typed_tto(triple_space, rng, alpha) if alpha is not None
+             else compressed_shift(triple_space).adjoint())
+        report = product_classification(triple_space, a, b)
+        spectral = is_tto(triple_space, a.mat @ b.mat).residual
+        assert (1 - 1e-12) * spectral <= report.membership_residual
+        assert report.membership_residual <= (1 + 1e-12) * np.sqrt(3) * spectral
+
+
 def test_algebra_containment_subalgebra(z3):
     s = compressed_shift(z3)
     ops = [np.eye(3, dtype=complex), s.mat, (s @ s).mat, s.mat + 2 * np.eye(3)]
@@ -368,13 +456,13 @@ def test_cli_is_tto_task_tests_once(triple_space, defect_tests):
                                    "check_rank_one_boundary", "check_defect_rank_two"])
 def test_verify_checks_test_each_operator_once(triple_space, defect_tests, check):
     # the rank-one checks read the residual of the test behind their classification
-    residual, trials, _ = verify._Verifier(triple_space, 3, 5).run(check)
+    residual, trials, _, _ = verify._Verifier(triple_space, 3, 5).run(check)
     assert trials == 5 and residual < 1e-9
     assert len(defect_tests) == trials
 
 
 def test_operator_pool_builds_rank_one_operators_untested(triple_space, defect_tests):
     # five pool operators, one of them Kt_lam (x) K_lam, and no membership test
-    residual, trials, _ = verify._Verifier(triple_space, 3, 5).run("check_c_symmetry")
+    residual, trials, _, _ = verify._Verifier(triple_space, 3, 5).run("check_c_symmetry")
     assert trials == 5 and residual < 1e-9
     assert defect_tests == []

@@ -1,11 +1,14 @@
-"""Source hygiene: no unused imports and no tolerance knobs.
+"""Source hygiene: no unused imports, no tolerance knobs, numpy the one dependency.
 
 Every name a ttolab module imports is used in that module, and no public
 function or constructor takes a tolerance or grid-size argument; the shared
-thresholds live in ttolab.tolerances.
+thresholds live in ttolab.tolerances.  ``import ttolab`` loads no module
+outside the standard library but numpy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,22 @@ def test_no_tolerance_knobs(path):
         for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
         if arg.arg in KNOBS)
     assert not found, f"{path.name} takes tolerance or grid knobs: {found}"
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import ttolab
+print(" ".join(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
+"""
+
+
+def test_import_loads_numpy_and_the_standard_library_only():
+    src = str(Path(ttolab.__file__).parent.parent)
+    loaded = subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True, text=True,
+                            capture_output=True, cwd=src).stdout.split()
+    assert "ttolab" in loaded
+    # _sysconfigdata_<platform> is the standard library's, under a per-platform name
+    foreign = sorted(m for m in set(loaded) - set(sys.stdlib_module_names)
+                     if m not in ("numpy", "ttolab") and not m.startswith("_sysconfigdata"))
+    assert not foreign, f"import ttolab loads {foreign}"

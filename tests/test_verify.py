@@ -128,7 +128,7 @@ def test_fraction_invertibility_solves_once_per_route(monkeypatch):
     # the space's Clark frame, behind build_tto and the conjugation, solves once per space
     sp.conj_matrix
     monkeypatch.setattr(BlaschkeProduct, "solve_equals", counting)
-    residual, trials, _ = _Verifier(sp, 0, 4).run("check_fraction_invertibility")
+    residual, trials, _, _ = _Verifier(sp, 0, 4).run("check_fraction_invertibility")
     assert (residual, trials) == (0.0, 4)
     assert len(calls) == 12
 
@@ -188,3 +188,20 @@ def test_contradicting_trial_counts_once_and_reads_one(z2, monkeypatch):
     check = {c.name: c for c in verify_space(z2, seed=0, trials=4).checks}["scalar_detection"]
     assert (check.passed, check.max_residual, check.trials) == (False, 1.0, 2)
     assert check.note == "c I classified alpha"
+
+
+def test_contradicting_trial_fails_at_any_tol_scale(z2, monkeypatch):
+    # a contradiction is a verdict, not a residual: no tol_scale can pass it
+    calls = []
+    classify = classification.classify_type
+
+    def wrong_second(space, operator):
+        calls.append(operator)
+        tag = classify(space, operator)
+        return classification.TypeTag("alpha", 0.5) if len(calls) == 2 else tag
+
+    monkeypatch.setattr(classification, "classify_type", wrong_second)
+    report = verify_space(z2, seed=0, trials=4, tol_scale=1e9)
+    check = {c.name: c for c in report.checks}["scalar_detection"]
+    assert (check.passed, check.max_residual, check.bound) == (False, 1.0, 10.0)
+    assert not report.passed
