@@ -17,6 +17,7 @@ here all pivot on that stratification:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,6 @@ from .tto import (
     SymbolExpr,
     TTOMatrix,
     as_matrix,
-    build_tto,
-    extract_symbol,
     generalized_shift,
     is_tto,
     outer,
@@ -104,11 +103,14 @@ def no_type_tag(residual: float) -> TypeTag:
 
 
 def _classification_data(space: ModelSpace, membership: DefectDecomposition):
-    """Shared preprocessing: canonical symbol parts and their K_0-quotient images."""
-    phi1, phi2 = membership.phi, membership.psi
+    """Canonical symbol parts over ``unit``, the power of two at their largest modulus
+    (exact, and no norm of them overflows), their K_0-quotient images, and ``unit``."""
+    big = max(np.abs(membership.phi.coords).max(), np.abs(membership.psi.coords).max())
+    unit = 2.0 ** (math.frexp(big)[1] - 1)
+    phi1, phi2 = (space.vector(v.coords / unit) for v in (membership.phi, membership.psi))
     v1 = _project_off_k0(space, _shift_conjugate(space, phi1).coords)
     v2 = phi2.coords  # already normalized off K_0
-    return phi1, phi2, v1, v2
+    return phi1, phi2, v1, v2, unit
 
 
 def classify_type(space: ModelSpace, operator) -> TypeTag:
@@ -128,7 +130,7 @@ def _type_tag(space: ModelSpace, membership: DefectDecomposition) -> TypeTag:
     if space.dim == 1:
         # every 1x1 matrix is a scalar
         return scalar_tag(membership.operator[0, 0])
-    phi1, phi2, v1, v2 = _classification_data(space, membership)
+    phi1, phi2, v1, v2, unit = _classification_data(space, membership)
     k0 = space.k0.coords
     scale = phi1.norm() + phi2.norm()
     if scale == 0.0:
@@ -137,18 +139,18 @@ def _type_tag(space: ModelSpace, membership: DefectDecomposition) -> TypeTag:
     off_k0 = np.linalg.norm(_project_off_k0(space, phi1.coords))
     if off_k0 <= tol and phi2.norm() <= tol:
         c = np.vdot(k0, phi1.coords) / np.vdot(k0, k0)
-        return scalar_tag(c)
+        return scalar_tag(c * unit)
     n1 = float(np.linalg.norm(v1))
     n2 = float(np.linalg.norm(v2))
     if n1 <= tol:
-        return infinity_tag(n1)
+        return infinity_tag(n1 * unit)
     if n2 <= tol:
-        return alpha_tag(0.0, n2)
+        return alpha_tag(0.0, n2 * unit)
     alpha_bar = np.vdot(v1, v2) / np.vdot(v1, v1)
     residual = float(np.linalg.norm(v2 - alpha_bar * v1))
     if residual <= VERDICT_TOL * (n1 + n2):
-        return alpha_tag(np.conj(alpha_bar), residual)
-    return no_type_tag(residual)
+        return alpha_tag(np.conj(alpha_bar), residual * unit)
+    return no_type_tag(residual * unit)
 
 
 def type_membership_residual(space: ModelSpace, operator, alpha) -> float:
@@ -164,7 +166,7 @@ def type_membership_residual(space: ModelSpace, operator, alpha) -> float:
 
 def _type_residual(space: ModelSpace, membership: DefectDecomposition, alpha) -> float:
     """type_membership_residual from a passed defect decomposition the caller holds."""
-    phi1, phi2, v1, v2 = _classification_data(space, membership)
+    phi1, phi2, v1, v2, _ = _classification_data(space, membership)
     scale = phi1.norm() + phi2.norm() + 1e-300
     if alpha is None:
         return float(np.linalg.norm(v1)) / scale
@@ -188,12 +190,6 @@ def type_of_adjoint(tag: TypeTag) -> TypeTag:
 # -- products -----------------------------------------------------------------
 
 
-def _standardize(space: ModelSpace, symbol: SymbolExpr) -> SymbolExpr:
-    if symbol.is_standard_form:
-        return symbol
-    return extract_symbol(space, build_tto(space, symbol))
-
-
 def product_rank2_residual(space: ModelSpace, first: SymbolExpr,
                            second: SymbolExpr) -> float:
     """Relative residual of the rank-two product test for A_first A_second.
@@ -204,8 +200,6 @@ def product_rank2_residual(space: ModelSpace, first: SymbolExpr,
     both slots off K_0.  Constants fold into the analytic part as multiples
     of K_0, so the residual does not depend on the chosen representation.
     """
-    first = _standardize(space, first)
-    second = _standardize(space, second)
     phi1, phi2 = first.standard_parts(space)
     psi1, psi2 = second.standard_parts(space)
     sc_phi2 = _shift_conjugate(space, phi2)

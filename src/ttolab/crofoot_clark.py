@@ -15,13 +15,12 @@ T S' = S_alpha T, which the construction does not solve for, is an independent
 check of it.  Since the analytic operator A_phi on K_{u_alpha}
 is phi(S'), the fraction operator is phi(S_alpha), which commutes with S_alpha: a
 polynomial fraction symbol is built by build_tto from its type-alpha symbol,
-fixed by phi(S_alpha) K_0, which Horner's rule forms on a vector.
+fixed by phi(S_alpha) K_0, which Horner's rule (shared with tto) forms on a vector.
 crofoot_intertwine_check builds phi(S') on K_{u_alpha} the same way, so no
 Crofoot source space is ever gridded.  Refined quadrature of a fraction symbol
-stays only where it must be independent of that route or where no closed form
-exists: the conjugate side of crofoot_intertwine_check and the fraction_symbol
-check of the verify battery (oracles), and rational symbol terms in
-tto.build_tto.
+stays only where it must be independent of that route: the conjugate side of
+crofoot_intertwine_check and the fraction_symbol check of the verify battery
+(oracles).
 
 For |alpha| = 1 the generalized shift S_alpha is unitary with spectrum the n
 distinct solutions of u = alpha on the circle, eigenvectors the normalized
@@ -66,6 +65,7 @@ from .tto import (
     build_tto,
     generalized_shift,
     spectral_norm,
+    _horner_k0,
     _membership,
     _norm_at_most,
     _typed_symbol,
@@ -182,14 +182,6 @@ def _poly_coeffs(phi) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("polynomial coefficients must be finite")
     return arr
-
-
-def _horner_k0(s: np.ndarray, k0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """phi(S) K_0 by Horner's rule on a vector: d products of S with a vector."""
-    acc = coeffs[-1] * k0
-    for c in coeffs[-2::-1]:
-        acc = s @ acc + c * k0
-    return acc
 
 
 def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:

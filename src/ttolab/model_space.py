@@ -11,9 +11,9 @@ boundary kernels at the solutions of u = beta diagonalize S_beta for every
 unimodular beta (Clark 1972); a space caches one such frame, at
 beta = -u(0)/|u(0)|, in which the conjugation is diagonal and build_tto works,
 and builds any other afresh.
-Quadrature oracles and rational symbols use the uniform trapezoid rule on the
-circle, whose error decays geometrically for rational integrands with poles off
-the circle.  The conjugation and the grid are built the first time they are
+Only quadrature oracles use the uniform trapezoid rule on the circle, whose
+error decays geometrically for rational integrands with poles off the circle.
+The conjugation and the grid are built the first time they are
 read; the grid size is doubled until the basis Gram matrix is the identity to
 GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  tto.build_refined starts from this
 certified grid and refines on nested grids: the N-point nodes are the even nodes

@@ -8,11 +8,12 @@ defect (Sarason): A is a truncated Toeplitz operator iff
     A - S A S^* = phi (x) K_0  +  K_0 (x) psi
 
 for some phi, psi in K_u, in which case A = A_{phi + conj(psi)}.  build_tto
-solves it for A in the Clark frame of K_u, where it is a Loewner matrix.  The
-defect test lives here, with the one NotATTO gate on it and the kernel shift
-identities.  With D = A - S A S^* it takes phi = D K_0 / ||K_0||^2 and the psi
-with psi(0) = 0, and decides on what the identity leaves over,
-D - phi (x) K_0 - K_0 (x) psi: D projected off K_0 in both slots.
+solves it for A in the Clark frame of K_u, where it is a Loewner matrix, from
+the symbol's standard parts, which rational terms reach in closed form; only
+the independent checks use quadrature (build_refined).  The defect test lives
+here, with the one NotATTO gate on it and the kernel shift identities.  With
+D = A - S A S^* it takes phi = D K_0 / ||K_0||^2 and the psi with psi(0) = 0,
+and decides on D - phi (x) K_0 - K_0 (x) psi, D projected off K_0 in both slots.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from .blaschke import RationalPair, complex_pair
 from .errors import (NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SchemaError,
@@ -176,7 +178,8 @@ class SymbolExpr:
     ``analytic`` and ``coanalytic`` are K_u vectors; the coanalytic field
     stores phi_2 itself, the symbol contribution being conj(phi_2).  Rational
     terms cover symbols such as u/(z - lambda) and phi/(1 - alpha conj(u))
-    that are not of the K_u + conj(K_u) + constant shape.
+    that are not of the K_u + conj(K_u) + constant shape; standard_parts
+    reduces them to it.
     """
 
     analytic: ModelVector | None = None
@@ -191,47 +194,18 @@ class SymbolExpr:
         if len(spaces) == 2 and not same_space(spaces[0], spaces[1]):
             raise SpaceMismatch("symbol parts live in different model spaces")
 
-    @property
-    def is_standard_form(self) -> bool:
-        return not self.rational_terms
-
     def standard_parts(self, space: ModelSpace) -> tuple[ModelVector, ModelVector]:
-        """(phi + c K_0, psi) of a standard-form symbol, checked to be finite and in ``space``."""
+        """(phi, psi) with A_Phi = A_{phi + conj(psi)}, checked to be finite and in ``space``."""
         parts = [v for v in (self.analytic, self.coanalytic) if v is not None]
         if not all(same_space(v.space, space) for v in parts):
             raise SpaceMismatch("symbol part lives in a different model space")
         if not (np.isfinite(self.constant) and all(np.isfinite(v.coords).all() for v in parts)):
             raise ValueError("symbol coefficients must be finite")
         zero = space.zero_vector()
-        return (self.analytic or zero) + self.constant * space.k0, self.coanalytic or zero
-
-    def values_at(self, space: ModelSpace, points: np.ndarray,
-                  u_values: np.ndarray) -> np.ndarray:
-        """Symbol values at arbitrary circle points, given the values of u there."""
-        points = np.asarray(points, dtype=complex)
-        vals = np.full(points.shape, self.constant, dtype=complex)
-        if self.analytic is not None or self.coanalytic is not None:
-            basis_values = space.basis_values_at(points)
-        if self.analytic is not None:
-            if not same_space(self.analytic.space, space):
-                raise SpaceMismatch("analytic part lives in a different model space")
-            vals = vals + self.analytic.coords @ basis_values
-        if self.coanalytic is not None:
-            if not same_space(self.coanalytic.space, space):
-                raise SpaceMismatch("coanalytic part lives in a different model space")
-            vals = vals + np.conj(self.coanalytic.coords @ basis_values)
-        for term in self.rational_terms:
-            roots = term.pair.denominator_roots()
-            if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < ON_CIRCLE_TOL:
-                raise PoleOnCircle("rational symbol term has a pole on the unit circle")
-            tv = term.pair.evaluate(points)
-            if term.clark_alpha is not None:
-                alpha = complex(term.clark_alpha)
-                if abs(alpha) >= 1.0 - DISC_MARGIN:
-                    raise PoleOnCircle("clark fraction with |alpha| >= 1 has circle poles")
-                tv = tv / (1.0 - alpha * np.conj(u_values))
-            vals = vals + tv
-        return vals
+        phi, psi = (self.analytic or zero) + self.constant * space.k0, self.coanalytic or zero
+        for term_phi, term_psi in (_rational_parts(space, t) for t in self.rational_terms):
+            phi, psi = phi + term_phi, psi + term_psi
+        return phi, psi
 
     def to_json(self):
         def vec(v):
@@ -283,6 +257,57 @@ def symbol_from_json(space: ModelSpace, obj) -> SymbolExpr:
                       complex_pair(obj.get("constant", [0.0, 0.0]), "constant"), tuple(terms))
 
 
+def _horner_k0(s: np.ndarray, k0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """phi(S) K_0 by Horner's rule on a vector: d products of S with a vector."""
+    acc = coeffs[-1] * k0
+    for c in coeffs[-2::-1]:
+        acc = s @ acc + c * k0
+    return acc
+
+
+def _rational_parts(space: ModelSpace, term: RationalTerm) -> tuple[ModelVector, ModelVector]:
+    """(phi, psi) with A_{p/q} = A_{phi + conj(psi)} for one rational term, in closed form.
+
+    With q_in, q_out the monic products over the m roots r_j of q inside the disc and
+    those outside, p/q = P + a/q_in + b/q_out: P is the quotient, and a Sylvester solve
+    splits the remainder as lead(q) (a q_out + b q_in).  g = P + b/q_out gives
+    phi = g(S) K_0 = P_u g (Sarason 2007): Horner's rule on P q_out + b, then a solve
+    with S - r per outer root r.  On the circle a/q_in = conj(h) for
+    h = sum_k conj(a_k) z^(m - k) / prod_j (1 - conj(r_j) z), so psi = h(S) K_0.  Over
+    1 - alpha conj(u), g gives the fraction operator g(S_alpha) as in
+    build_clark_fraction_tto, and conj(h) the same operator, as u(S) = 0.
+    """
+    roots = term.pair.denominator_roots()
+    if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < ON_CIRCLE_TOL:
+        raise PoleOnCircle("rational symbol term has a pole on the unit circle")
+    alpha = term.clark_alpha
+    if alpha is not None and abs(alpha) >= 1.0 - DISC_MARGIN:
+        raise PoleOnCircle("clark fraction with |alpha| >= 1 has circle poles")
+    s, k0, eye = compressed_shift(space).mat, space.k0.coords, np.eye(space.dim)
+    x = s if alpha is None else generalized_shift(space, alpha).mat
+    inner, outer_ = roots[np.abs(roots) < 1.0], roots[np.abs(roots) > 1.0]
+    q_in, q_out = npoly.polyfromroots(inner), npoly.polyfromroots(outer_)
+    quot, rem = npoly.polydiv(term.pair.numerator, term.pair.denominator)
+    m, d = inner.size, roots.size
+    # columns z^i q_out for i < m, then z^j q_in for j < d - m
+    sylvester = np.array([np.convolve(e, q_out) for e in np.eye(m)]
+                         + [np.convolve(e, q_in) for e in np.eye(d - m)]).reshape(d, d).T
+    rhs = np.concatenate((rem, np.zeros(d)))[:d] / term.pair.denominator[-1]
+    a, b = np.split(np.linalg.solve(sylvester, rhs), [m])
+    num = np.convolve(quot, q_out)
+    num[:b.size] += b
+    phi = _horner_k0(x, k0, num)
+    for r in outer_:
+        phi = np.linalg.solve(x - r * eye, phi)
+    psi = _horner_k0(s, k0, np.concatenate(([0j], np.conj(a[::-1]))))
+    for r in inner:
+        psi = np.linalg.solve(eye - np.conj(r) * s, psi)
+    if alpha is None:
+        return space.vector(phi), space.vector(psi)
+    chi = space.vector(phi / (1.0 - alpha * np.conj(space.u.value_at_zero)))
+    return chi, space.vector(psi) + np.conj(alpha) * _shift_conjugate(space, chi)
+
+
 # -- construction -------------------------------------------------------------
 
 
@@ -316,10 +341,10 @@ def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
     """Compression of a symbol given as a callable values_fn(points, u_values).
 
     The trapezoid grid doubles until the compressed matrix moves by at most
-    1e-12 max(1, ||A||).  The space's own grid is tuned to integrate basis
-    products, which is not enough for symbols whose poles approach the circle
-    (rational terms, fraction symbols whose level set sits near the boundary);
-    the stopping rule measures exactly the error such symbols add.  The grids
+    1e-12 max(1, ||A||); the independent checks use it as their oracle.  The
+    space's own grid is tuned to integrate basis products, which is not enough
+    for symbols whose poles approach the circle (fraction symbols whose level set
+    sits near the boundary); the stopping rule measures that error.  The grids
     are nested: the first level reads the space's certified grid, basis table
     and u values, and each doubling from N to 2N points tabulates values_fn,
     the basis and u only at the N new odd nodes exp(2 pi i (2j+1) / 2N),
@@ -345,18 +370,15 @@ def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
 
 
 def build_tto(space: ModelSpace, symbol: SymbolExpr) -> TTOMatrix:
-    """A_Phi: Sarason's identity in a Clark frame, or quadrature of rational terms.
+    """A_Phi: Sarason's identity in a Clark frame.
 
-    With phi = analytic + c K_0, psi = coanalytic, a = A K_0 = phi + conj(psi(0)) K_0
+    With (phi, psi) = Phi.standard_parts, a = A K_0 = phi + conj(psi(0)) K_0
     - conj(u(0)) S C psi, b = A^* K_0 its mirror and g = beta/(1 - beta conj(u(0)))
     for beta = _frame_point, A - S_beta A S_beta^* = x (x) K_0 + K_0 (x) y with
     x = phi - conj(g) S C b - |g|^2 <a, K_0> K_0 and y = psi - conj(g) S C a.  In the
     eigenbasis V of S_beta, V^* A V is that defect over 1 - zeta_i conj(zeta_j) off the
     diagonal, and V^* A K_0 = V^* a fixes the diagonal (Cima, Ross & Wogen 2008).
     """
-    if symbol.rational_terms:
-        return build_refined(space,
-                             lambda pts, uv: symbol.values_at(space, pts, uv))
     phi, psi = (f.coords for f in symbol.standard_parts(space))
     s, m, k0 = compressed_shift(space).mat, space.conj_matrix, space.k0.coords
     u0bar, beta = np.conj(space.u.value_at_zero), space._frame_point
@@ -511,36 +533,28 @@ def extract_symbol(space: ModelSpace, operator) -> SymbolExpr:
 def symbols_equivalent(space: ModelSpace, first: SymbolExpr, second: SymbolExpr) -> bool:
     """Do two symbols induce the same operator on K_u.
 
-    Compares the built matrices; for standard-form symbols the structural
-    criterion (the difference must be gamma*K_0 analytically and
-    -conj(gamma)*K_0 coanalytically) is cross-checked, and a hard disagreement
-    raises NumericalFailure since it would mean an internal inconsistency.
+    Compares the built matrices and cross-checks the structural criterion on
+    the standard parts (the difference must be gamma*K_0 analytically and
+    -conj(gamma)*K_0 coanalytically); a hard disagreement raises
+    NumericalFailure since it would mean an internal inconsistency.
     """
     a1 = build_tto(space, first).mat
     a2 = build_tto(space, second).mat
     matrices_agree, _ = _norm_at_most(a1 - a2, (a1, a2), VERDICT_TOL, floor=1.0)
-    if first.is_standard_form and second.is_standard_form:
-        structural = _structural_equivalence(space, first, second)
-        if structural != matrices_agree:
-            residual = spectral_norm(a1 - a2) / max(spectral_norm(a1), spectral_norm(a2), 1.0)
-            raise NumericalFailure(
-                f"symbol equivalence routes disagree (matrix residual {residual:.3e})")
-    return matrices_agree
-
-
-def _structural_equivalence(space, first, second) -> bool:
     k0 = space.k0.coords
-    a1, c1 = (v.coords for v in first.standard_parts(space))
-    a2, c2 = (v.coords for v in second.standard_parts(space))
-    d_ana = a1 - a2
-    d_coa = c1 - c2
-    scale = max(np.linalg.norm(a1) + np.linalg.norm(c1),
-                np.linalg.norm(a2) + np.linalg.norm(c2), 1.0)
-    gamma = np.vdot(k0, d_ana) / np.vdot(k0, k0)
-    r1 = np.linalg.norm(d_ana - gamma * k0)
-    r2 = np.linalg.norm(d_coa + np.conj(gamma) * k0)
+    p1, c1 = (v.coords for v in first.standard_parts(space))
+    p2, c2 = (v.coords for v in second.standard_parts(space))
+    scale = max(np.linalg.norm(p1) + np.linalg.norm(c1),
+                np.linalg.norm(p2) + np.linalg.norm(c2), 1.0)
+    gamma = np.vdot(k0, p1 - p2) / np.vdot(k0, k0)
+    r1 = np.linalg.norm(p1 - p2 - gamma * k0)
+    r2 = np.linalg.norm(c1 - c2 + np.conj(gamma) * k0)
     # generous factor: this guards conventions, not borderline tolerances
-    return bool(max(r1, r2) <= 100 * VERDICT_TOL * scale)
+    if (max(r1, r2) <= 100 * VERDICT_TOL * scale) != matrices_agree:
+        residual = spectral_norm(a1 - a2) / max(spectral_norm(a1), spectral_norm(a2), 1.0)
+        raise NumericalFailure(
+            f"symbol equivalence routes disagree (matrix residual {residual:.3e})")
+    return matrices_agree
 
 
 # -- structural identities ----------------------------------------------------

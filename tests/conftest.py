@@ -1,7 +1,11 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ttolab import BlaschkeProduct, ModelSpace, sample_blaschke
+from ttolab import (BlaschkeProduct, ModelSpace, PoleOnCircle, RationalPair, RationalTerm,
+                    SpaceMismatch, sample_blaschke)
+from ttolab.model_space import same_space
+from ttolab.tolerances import DISC_MARGIN, ON_CIRCLE_TOL
 
 # The hard zero families of the benchmark's hard-spaces workload (repeated,
 # clustered, near-circle, degree 64 and 128), plus a generic degree-16 space.
@@ -31,6 +35,57 @@ def stein_solve(a, b, rhs) -> np.ndarray:
         x = x + a @ x @ b
         a, b = a @ a, b @ b
     return x
+
+
+def symbol_values(symbol, space, points, u_values) -> np.ndarray:
+    """Values of a SymbolExpr at circle points, given the values of u there.
+
+    The symbol of the quadrature oracle: build_refined(space, lambda pts, uv:
+    symbol_values(symbol, space, pts, uv)) compresses it independently of the
+    closed forms that build_tto reads off its parts.
+    """
+    points = np.asarray(points, dtype=complex)
+    vals = np.full(points.shape, symbol.constant, dtype=complex)
+    if symbol.analytic is not None or symbol.coanalytic is not None:
+        basis_values = space.basis_values_at(points)
+    if symbol.analytic is not None:
+        if not same_space(symbol.analytic.space, space):
+            raise SpaceMismatch("analytic part lives in a different model space")
+        vals = vals + symbol.analytic.coords @ basis_values
+    if symbol.coanalytic is not None:
+        if not same_space(symbol.coanalytic.space, space):
+            raise SpaceMismatch("coanalytic part lives in a different model space")
+        vals = vals + np.conj(symbol.coanalytic.coords @ basis_values)
+    for term in symbol.rational_terms:
+        roots = term.pair.denominator_roots()
+        if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < ON_CIRCLE_TOL:
+            raise PoleOnCircle("rational symbol term has a pole on the unit circle")
+        tv = term.pair.evaluate(points)
+        if term.clark_alpha is not None:
+            alpha = complex(term.clark_alpha)
+            if abs(alpha) >= 1.0 - DISC_MARGIN:
+                raise PoleOnCircle("clark fraction with |alpha| >= 1 has circle poles")
+            tv = tv / (1.0 - alpha * np.conj(u_values))
+        vals = vals + tv
+    return vals
+
+
+def pole_terms(rng, alpha) -> list:
+    """Rational terms over random degree-5 numerators, each plain and divided by 1 - alpha conj(u).
+
+    One denominator has two inner and two outer poles, the other a double inner
+    and a triple outer pole; inner poles have modulus 0.3 to 0.8, outer ones 1.3 to 2.3.
+    """
+    def pole(low, high):
+        return rng.uniform(low, high) * np.exp(2j * np.pi * rng.uniform())
+
+    terms = []
+    for roots in ([pole(0.3, 0.8), pole(0.3, 0.8), pole(1.3, 2.3), pole(1.3, 2.3)],
+                  [pole(0.3, 0.8)] * 2 + [pole(1.3, 2.3)] * 3):
+        pair = RationalPair(tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6)),
+                            tuple(npoly.polyfromroots(roots) * (0.7 - 0.2j)))
+        terms += [RationalTerm(pair), RationalTerm(pair, alpha)]
+    return terms
 
 
 def pytest_generate_tests(metafunc):

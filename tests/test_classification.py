@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from ttolab import classification, cli, tto, verify
@@ -7,6 +8,8 @@ from ttolab import (
     ModelSpace,
     NotATTO,
     NumericalFailure,
+    RationalPair,
+    RationalTerm,
     SingularMatrix,
     SymbolExpr,
     algebra_containment,
@@ -34,6 +37,8 @@ from ttolab import (
     type_membership_residual,
     type_of_adjoint,
 )
+
+from conftest import pole_terms
 
 
 def test_identity_is_scalar(z3):
@@ -203,6 +208,90 @@ def test_product_rank2_lemma_matches_membership(triple_space):
         assert (res < 1e-8) == direct
 
 
+def _rational_pairs(rng):
+    """(first, second, passes) pairs of rational symbols and the product theorem's verdict."""
+    def outer_only(alpha=None):
+        roots = rng.uniform(1.3, 2.3, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        return SymbolExpr(rational_terms=(RationalTerm(RationalPair(
+            tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+            tuple(npoly.polyfromroots(roots))), alpha),))
+
+    def inner_only():
+        roots = rng.uniform(0.3, 0.8, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        return SymbolExpr(rational_terms=(RationalTerm(RationalPair(
+            tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+            tuple(npoly.polyfromroots(roots)))),))
+
+    mixed = [SymbolExpr(rational_terms=(t,)) for t in pole_terms(rng, 0.6j)]
+    # 1 + (0.3 + 0.85i)/(z - 0.85i), divided by 1 - 0.6i conj(u): the fraction operator of
+    # the constant 1 is the identity, so this is the identity plus a coanalytic operator
+    clark = SymbolExpr(rational_terms=(
+        RationalTerm(RationalPair((0.3, 1.0), (-0.85j, 1.0)), 0.6j),))
+    return [
+        (outer_only(), outer_only(), True),  # type 0
+        (inner_only(), inner_only(), True),  # type infinity
+        (outer_only(0.6j), outer_only(0.6j), True),  # fraction symbols of one alpha
+        (outer_only(0.6j), outer_only(-0.5), False),
+        (outer_only(), inner_only(), False),
+        (mixed[0], mixed[2], False),
+        (mixed[1], mixed[3], False),
+        (clark, clark, True),
+        (clark, outer_only(0.6j), False),
+        (clark, SymbolExpr(constant=2.0 - 1j), True),
+    ]
+
+
+@pytest.mark.parametrize("zeros", [(0.5, 0.5, -0.2), (0.99,) * 16, (0.995,) * 16],
+                         ids=["triple", "0.99 x16", "0.995 x16"])
+def test_product_rank2_lemma_on_rational_symbols(zeros):
+    # near the circle the Clark-divided terms used to be standardized through a
+    # quadrature that stopped "still moving at 262144 points"
+    sp = ModelSpace(BlaschkeProduct(zeros))
+    for first, second, passes in _rational_pairs(rng_from(49)):
+        prod = build_tto(sp, first).mat @ build_tto(sp, second).mat
+        assert is_tto(sp, prod).passed == passes
+        assert product_rank2_condition(sp, first, second) == passes
+
+
+@pytest.mark.parametrize("kind", ["alpha", "zero", "infinity", "none", "scalar"])
+def test_type_tags_do_not_depend_on_scale(kind):
+    # at 1e-200 the norms of the symbol parts underflowed to 0, and every operator
+    # classified as the scalar 0; at 1e200 their squares overflowed
+    from ttolab.sampling import sample_blaschke
+
+    sp = ModelSpace(sample_blaschke(rng_from(16), 16))
+    rng = rng_from(17)
+    a = {"alpha": lambda: sample_typed_tto(sp, rng, 0.4 + 0.2j).mat,
+         "zero": lambda: sample_typed_tto(sp, rng, 0.0).mat,
+         "infinity": lambda: sample_typed_tto(sp, rng, None).mat,
+         "none": lambda: sample_notype_tto(sp, rng).mat,
+         "scalar": lambda: (2.0 - 1j) * np.eye(sp.dim)}[kind]()
+    b = sample_typed_tto(sp, rng, 0.4 + 0.2j).mat
+
+    def tags(scale):
+        inverse = inverse_type_check(sp, scale * a)
+        product = product_classification(sp, scale * a, b)
+        return (classify_type(sp, scale * a), inverse.input_tag, inverse.inverse_tag,
+                product.left, product.product), product.kind
+
+    reference, product_kind = tags(1.0)
+    assert reference[0].kind == kind.replace("zero", "alpha")
+    for scale in (1e-200, 1e200):
+        scaled, scaled_kind = tags(scale)
+        assert scaled_kind == product_kind
+        # the inverse of scale A is A^{-1}/scale
+        for tag, ref, unit in zip(scaled, reference, (scale, scale, 1 / scale, scale, scale)):
+            assert (tag is None) == (ref is None)
+            if tag is None:
+                continue
+            assert tag.kind == ref.kind
+            if tag.kind == "alpha":
+                assert abs(tag.value - ref.value) <= 1e-12
+            if tag.kind == "scalar":
+                assert abs(tag.value - unit * ref.value) <= 1e-12 * abs(unit * ref.value)
+            assert abs(tag.residual - unit * ref.residual) <= 1e-12 * unit
+
+
 def test_commutant_characterizes_type(triple_space):
     rng = rng_from(49)
     alpha = 0.2 + 0.5j
@@ -300,7 +389,7 @@ def test_inverse_condition_gate_matches_svd_reference(n):
     # V diag(d) V^* in a Clark eigenbasis is a typed operator with singular
     # values |d|: conditions 1e6 to 1e11 straddle the gate's 1e8; at scales
     # 1e-200 and 1e200 a non-singular input (or its inverse) reaches about 1e200,
-    # where both sides raise the same overflow warning in the classification
+    # which both sides classify
     from ttolab.crofoot_clark import clark_data
     from ttolab.sampling import sample_blaschke
 

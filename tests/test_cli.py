@@ -233,6 +233,16 @@ def test_schema_error_non_finite_number(tmp_path, capsys, problem):
     assert "error:" in err and "finite" in err
 
 
+@pytest.mark.parametrize("problem", [
+    _rational_symbol_task([[1, 0]], [[-0.6, -0.8], [1, 0]]),
+    _rational_symbol_task([[1, 0]], [[-0.5, 0], [1, 0]], [0.0, 1.0]),
+], ids=["pole on the circle", "unimodular clark_alpha"])
+def test_rational_term_with_circle_poles_exits_1(tmp_path, capsys, problem):
+    code, out, err = run(capsys, ["--input", write_problem(tmp_path, problem)])
+    assert code == 1 and out == ""
+    assert err.startswith("numerical failure: ") and "circle" in err, err
+
+
 @pytest.mark.parametrize("alpha", [[0.5, 0.0], [0.0, 0.0], [2.0, 0.0]],
                          ids=["inside", "zero", "outside"])
 def test_schema_error_clark_alpha_off_circle(tmp_path, capsys, alpha):

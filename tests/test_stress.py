@@ -22,12 +22,13 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from ttolab import (AlphaOnCircle, BlaschkeProduct, ModelSpace, NumericalFailure,
-                    RootSolveError, build_refined, build_tto, classify_type, clark_data,
-                    compressed_shift, crofoot, generalized_shift, sample_blaschke,
-                    sample_symbol, sample_typed_tto, verify_space)
+                    RationalPair, RationalTerm, RootSolveError, SymbolExpr, build_refined,
+                    build_tto, classify_type, clark_data, compressed_shift, crofoot,
+                    generalized_shift, sample_blaschke, sample_symbol, sample_typed_tto,
+                    verify_space)
 from ttolab.tto import spectral_norm
 
-from conftest import STRESS_FAMILIES
+from conftest import STRESS_FAMILIES, symbol_values
 
 
 @pytest.mark.parametrize("family, alpha", [
@@ -283,8 +284,37 @@ def test_build_frame_keeps_near_circle_operators_accurate():
     rng = np.random.default_rng(0)
     for _ in range(8):
         sym = sample_symbol(sp, rng)
-        ref = build_refined(sp, lambda pts, uv: sym.values_at(sp, pts, uv)).mat
+        ref = build_refined(sp, lambda pts, uv: symbol_values(sym, sp, pts, uv)).mat
         assert spectral_norm(build_tto(sp, sym).mat - ref) <= 1.5e-12 * spectral_norm(ref)
+
+
+@pytest.mark.parametrize("zeros", [(0.99,) * 16, (0.995,) * 16, (0.99,) * 32],
+                         ids=["0.99 x16", "0.995 x16", "0.99 x32"])
+def test_clark_divided_terms_match_the_crofoot_route(zeros):
+    # (N/q_out + a/q_in)/(1 - alpha conj(u)) compresses to T A'_{N/q_out} T^* + A_{a/q_in},
+    # with A' on K_{u_alpha}, whose zeros lie 1e-4 from the circle at |alpha| = 0.8;
+    # quadrature of these terms on K_u stopped "still moving at 262144 points"
+    sp = ModelSpace(BlaschkeProduct(zeros))
+    rng = np.random.default_rng(1)
+    for k in range(4):
+        alpha = 0.8 * np.exp(2j * np.pi * rng.uniform())
+        inner = [0.6 * np.exp(2j * np.pi * rng.uniform())] * 2
+        outer = [1.7 * np.exp(2j * np.pi * rng.uniform())] * 3
+        if k % 2:
+            inner, outer = [inner[0], 0.4j], outer[:2]
+        q_in, q_out = npoly.polyfromroots(inner), npoly.polyfromroots(outer)
+        num = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a = rng.standard_normal(len(inner)) + 1j * rng.standard_normal(len(inner))
+        pair = RationalPair(tuple(npoly.polyadd(npoly.polymul(num, q_in), npoly.polymul(a, q_out))),
+                            tuple(npoly.polymul(q_in, q_out)))
+        closed = build_tto(sp, SymbolExpr(rational_terms=(RationalTerm(pair, alpha),))).mat
+        transform = crofoot(sp, alpha)
+        analytic = build_tto(transform.source, SymbolExpr(
+            rational_terms=(RationalTerm(RationalPair(tuple(num), tuple(q_out))),)))
+        coanalytic = build_tto(sp, SymbolExpr(
+            rational_terms=(RationalTerm(RationalPair(tuple(a), tuple(q_in))),)))
+        ref = transform.map_to_target(analytic).mat + coanalytic.mat
+        assert spectral_norm(closed - ref) <= 1e-10 * max(1.0, spectral_norm(ref)), (k, alpha)
 
 
 CROFOOT_AND_CLARK = {

@@ -5,12 +5,14 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+from ttolab import tto
 from ttolab import (
     BlaschkeProduct,
     KernelShiftReport,
     ModelSpace,
     NotATTO,
     NumericalFailure,
+    PoleOnCircle,
     QuadratureError,
     RationalPair,
     RationalTerm,
@@ -51,7 +53,7 @@ from ttolab.sampling import (
 from ttolab.tolerances import VERDICT_TOL
 from ttolab.tto import _norm_at_most, spectral_norm
 
-from conftest import STRESS_FAMILIES, stein_solve
+from conftest import STRESS_FAMILIES, pole_terms, stein_solve, symbol_values
 
 
 def test_constant_symbol_gives_identity(z2):
@@ -346,6 +348,18 @@ def test_symbols_equivalent_mod_u_directions(pair_space, rng):
     assert symbols_equivalent(pair_space, base, shifted)
 
 
+def test_symbols_equivalent_on_rational_terms(z3):
+    # u = z^3 multiplies to zero, so (p + c u q)/q and p/q give one operator;
+    # the structural check on their closed-form parts must agree with the matrices
+    p, q = (1.0, 0.5j, -0.3), tuple(npoly.polyfromroots([0.5, 1.8j]))
+    shifted = npoly.polyadd(p, (2.0 - 1j) * npoly.polymul((0, 0, 0, 1), q))
+    base = SymbolExpr(rational_terms=(RationalTerm(RationalPair(p, q)),))
+    assert symbols_equivalent(z3, base, SymbolExpr(
+        rational_terms=(RationalTerm(RationalPair(tuple(shifted), q)),)))
+    assert not symbols_equivalent(z3, base, SymbolExpr(
+        rational_terms=base.rational_terms, constant=1e-3))
+
+
 def test_c_symmetry_of_built_ttos(triple_space, rng):
     for _ in range(10):
         phi = triple_space.vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -396,7 +410,7 @@ def test_build_refined_matches_dense_quadrature(z2):
     assert np.max(np.abs(coarse - dense)) > 1e-6
 
 
-def test_build_tto_routes_rational_terms_through_refinement(z2):
+def test_build_tto_reads_rational_terms_in_closed_form(z2):
     lam = 0.95
     # u/(z - lam) with u = z^2: numerator z^2, denominator z - lam
     num, den = (0j, 0j, 1 + 0j), (-lam + 0j, 1 + 0j)
@@ -404,6 +418,39 @@ def test_build_tto_routes_rational_terms_through_refinement(z2):
     built = build_tto(z2, sym).mat
     expected = outer(z2.conjugate_kernel(lam), z2.kernel(lam))
     assert np.max(np.abs(built - expected)) < 1e-9
+
+
+def test_rational_terms_match_quadrature(stress_family, stress_spaces):
+    # inner, outer and repeated poles, plain and divided by 1 - alpha conj(u)
+    sp = stress_spaces[stress_family]
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        for term in pole_terms(rng, 0.6 * np.exp(2j * np.pi * rng.uniform())):
+            sym = SymbolExpr(rational_terms=(term,))
+            ref = build_refined(sp, lambda pts, uv: symbol_values(sym, sp, pts, uv)).mat
+            gap = spectral_norm(build_tto(sp, sym).mat - ref)
+            assert gap <= 1e-12 * max(1.0, spectral_norm(ref)), (term, gap)
+
+
+@pytest.mark.parametrize("term", [
+    RationalTerm(RationalPair((1.0,), (-np.exp(0.3j) * (1.0 + 5e-11), 1.0))),
+    RationalTerm(RationalPair((1.0, 2.0), (-0.5, 1.0)), (1.0 - 1e-13) * 1j),
+], ids=["pole on the circle", "unimodular clark_alpha"])
+def test_rational_term_with_circle_poles_raises(z2, term):
+    with pytest.raises(PoleOnCircle):
+        build_tto(z2, SymbolExpr(rational_terms=(term,)))
+
+
+def test_build_tto_of_rational_terms_builds_no_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_tto refined a quadrature")
+
+    monkeypatch.setattr(tto, "build_refined", refuse)
+    sp = ModelSpace(STRESS_FAMILIES["random 16"])
+    built = build_tto(sp, SymbolExpr(rational_terms=tuple(pole_terms(np.random.default_rng(2),
+                                                                     0.6j))))
+    assert np.isfinite(built.mat).all()
+    assert "_quadrature" not in sp.__dict__
 
 
 def _full_grid_refined(sp, values_fn):
@@ -429,7 +476,11 @@ def _full_grid_refined(sp, values_fn):
 
 
 def _refinement_symbols(sp):
-    """values_fn of the symbols the verify oracles refine, and a rational build_tto symbol."""
+    """values_fn of the symbols the quadrature oracles refine.
+
+    "rational build_tto" is the oracle of a Clark-divided rational term, which
+    build_tto reads off in closed form.
+    """
     rng = np.random.default_rng(7)
     p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     phi = sample_vector(sp, rng)
@@ -442,9 +493,8 @@ def _refinement_symbols(sp):
         "phi/(1 - alpha conj u)": lambda pts, uv: phi.evaluate(pts) / (1 - alpha * np.conj(uv)),
         "conj p/(1 - conj(alpha) u)":
             lambda pts, uv: np.conj(npoly.polyval(pts, p)) / (1 - np.conj(alpha) * uv),
-        # bound now, so that it survives a patched SymbolExpr.values_at
-        "rational build_tto": lambda pts, uv, values_at=rational.values_at: values_at(sp, pts, uv),
-    }, rational
+        "rational build_tto": lambda pts, uv: symbol_values(rational, sp, pts, uv),
+    }
 
 
 def _recording(values_fn):
@@ -459,18 +509,12 @@ def _recording(values_fn):
 
 @pytest.mark.parametrize("symbol", ["u p", "u/(z - lam)", "phi/(1 - alpha conj u)",
                                     "conj p/(1 - conj(alpha) u)", "rational build_tto"])
-def test_nested_refinement_matches_full_grids(stress_family, stress_spaces, symbol,
-                                              monkeypatch):
+def test_nested_refinement_matches_full_grids(stress_family, stress_spaces, symbol):
     sp = stress_spaces[stress_family]
-    fns, rational = _refinement_symbols(sp)
-    ref, final = _full_grid_refined(sp, fns[symbol])
-    fn, batches = _recording(fns[symbol])
-    if symbol == "rational build_tto":
-        monkeypatch.setattr(SymbolExpr, "values_at",
-                            lambda self, space, pts, uv: fn(pts, uv))
-        mat = build_tto(sp, rational).mat
-    else:
-        mat = build_refined(sp, fn).mat
+    values_fn = _refinement_symbols(sp)[symbol]
+    ref, final = _full_grid_refined(sp, values_fn)
+    fn, batches = _recording(values_fn)
+    mat = build_refined(sp, fn).mat
     assert np.linalg.norm(mat - ref, 2) <= 1e-13 * max(1.0, np.linalg.norm(ref, 2))
     assert sum(len(pts) for pts, _ in batches) == final
 
@@ -478,7 +522,7 @@ def test_nested_refinement_matches_full_grids(stress_family, stress_spaces, symb
 @pytest.mark.parametrize("family", ["repeated 0.9 x8", "random 16"])
 def test_nested_refinement_tabulates_only_new_nodes(stress_spaces, family):
     sp = stress_spaces[family]
-    fn, batches = _recording(_refinement_symbols(sp)[0]["phi/(1 - alpha conj u)"])
+    fn, batches = _recording(_refinement_symbols(sp)["phi/(1 - alpha conj u)"])
     build_refined(sp, fn)
     assert batches[0][0] is sp.grid and batches[0][1] is sp.u_values
     sizes = [len(pts) for pts, _ in batches]
@@ -499,7 +543,7 @@ def test_build_refined_memory_is_bounded_by_blocks(stress_spaces):
     # of numpy memory when the whole (n, N) table, its conjugate and
     # vals * basis were built at once
     sp = stress_spaces["random 128"]
-    fn, batches = _recording(_refinement_symbols(sp)[0]["phi/(1 - alpha conj u)"])
+    fn, batches = _recording(_refinement_symbols(sp)["phi/(1 - alpha conj u)"])
     sp.quad_points  # the space's own certified table is not the batch's
     tracemalloc.start()
     try:
@@ -570,7 +614,7 @@ def test_dimension_one_space():
 def test_build_tto_matches_quadrature(stress_family, stress_spaces):
     sp = stress_spaces[stress_family]
     sym = sample_symbol(sp, np.random.default_rng(5))
-    ref = build_refined(sp, lambda pts, uv: sym.values_at(sp, pts, uv)).mat
+    ref = build_refined(sp, lambda pts, uv: symbol_values(sym, sp, pts, uv)).mat
     built = build_tto(sp, sym).mat
     assert np.linalg.norm(built - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
 
