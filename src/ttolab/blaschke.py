@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import PoleHit, RootSolveError, SchemaError
 from .tolerances import DISC_MARGIN, POLE_TOL
@@ -78,16 +77,6 @@ class RationalPair:
         object.__setattr__(self, "denominator", _trim(self.denominator))
         if all(c == 0 for c in self.denominator):
             raise ValueError("denominator polynomial is identically zero")
-
-    def evaluate(self, z):
-        pts, scalar = _as_points(z)
-        num = npoly.polyval(pts, np.asarray(self.numerator))
-        den = npoly.polyval(pts, np.asarray(self.denominator))
-        scale = max(np.max(np.abs(np.asarray(self.denominator))), 1.0)
-        if np.any(np.abs(den) < POLE_TOL * scale):
-            raise PoleHit("rational evaluation at a pole")
-        vals = num / den
-        return complex(vals[0]) if scalar else vals
 
     def denominator_roots(self) -> np.ndarray:
         den = np.asarray(self.denominator)
@@ -268,12 +257,38 @@ class BlaschkeProduct:
         one node past each end, plus, for each of the m zeros nearer the circle
         than four cells, the preimages under its factor of max(8, 256 // m)
         equally spaced points of the circle (staggered from zero to zero, so
-        repeated zeros add nodes).  Each seed angle is cubic Hermite
+        repeated zeros add nodes).  The table does not depend on alpha: it is
+        ``_phase_table``, built once per product, and each call only places
+        its targets and seeds.  Each seed angle is cubic Hermite
         interpolation of the inverse of Phi on the cell holding its target, and
         its slope the linear interpolation of Phi' there.  Returns the function
         ``phase``, the targets t_j - arg(rotation), the seed angles and slopes,
         and brackets one cell wider than the seed's cell on each side, because
         the tabulated phase is only accurate to rounding.
+        """
+        phase, grid, table, table_slope = self._phase_table
+        n = self.degree
+        targets = table[0] + 2.0 * np.pi * np.arange(n) + (
+            (cmath.phase(alpha) - cmath.phase(self.rotation) - table[0]) % (2.0 * np.pi))
+        cell = np.minimum(np.maximum(np.searchsorted(table, targets), 1), grid.size - 1)
+        left, width = grid[cell - 1], grid[cell] - grid[cell - 1]
+        rise = table[cell] - table[cell - 1]
+        s = np.minimum(np.maximum((targets - table[cell - 1]) / rise, 0.0), 1.0)
+        r = 1.0 - s
+        rate = rise / width
+        shape = s + s * r * (r * (rate / table_slope[cell - 1] - 1.0)
+                             - s * (rate / table_slope[cell] - 1.0))
+        shape = np.minimum(np.maximum(shape, 0.0), 1.0)
+        slope = table_slope[cell - 1] + shape * (table_slope[cell] - table_slope[cell - 1])
+        lo = grid[np.maximum(cell - 2, 0)]
+        hi = grid[np.minimum(cell + 1, grid.size - 1)]
+        return phase, targets, left + width * shape, slope, lo, hi
+
+    @cached_property
+    def _phase_table(self):
+        """(phase, nodes, Phi - arg(rotation) and Phi' at the nodes) of ``_boundary_phase``.
+
+        The part that does not depend on alpha, built once per product; its arrays are read-only.
         """
         a = self._zero_arr
         n = a.size
@@ -305,21 +320,9 @@ class BlaschkeProduct:
             nodes.append(graded[np.abs(graded) <= np.pi + spacing])
         grid = np.sort(np.concatenate(nodes))
         table, table_slope = phase(grid)[4:]
-        targets = table[0] + 2.0 * np.pi * np.arange(n) + (
-            (cmath.phase(alpha) - cmath.phase(self.rotation) - table[0]) % (2.0 * np.pi))
-        cell = np.minimum(np.maximum(np.searchsorted(table, targets), 1), grid.size - 1)
-        left, width = grid[cell - 1], grid[cell] - grid[cell - 1]
-        rise = table[cell] - table[cell - 1]
-        s = np.minimum(np.maximum((targets - table[cell - 1]) / rise, 0.0), 1.0)
-        r = 1.0 - s
-        rate = rise / width
-        shape = s + s * r * (r * (rate / table_slope[cell - 1] - 1.0)
-                             - s * (rate / table_slope[cell] - 1.0))
-        shape = np.minimum(np.maximum(shape, 0.0), 1.0)
-        slope = table_slope[cell - 1] + shape * (table_slope[cell] - table_slope[cell - 1])
-        lo = grid[np.maximum(cell - 2, 0)]
-        hi = grid[np.minimum(cell + 1, grid.size - 1)]
-        return phase, targets, left + width * shape, slope, lo, hi
+        for arr in (grid, table, table_slope):
+            arr.setflags(write=False)
+        return phase, grid, table, table_slope
 
     def _circle_preimages(self, alpha) -> tuple[np.ndarray, int]:
         """The n solutions of u = alpha for unimodular alpha, and the sweeps taken.

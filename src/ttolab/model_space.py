@@ -15,19 +15,25 @@ Only quadrature oracles use the uniform trapezoid rule on the circle, whose
 error decays geometrically for rational integrands with poles off the circle.
 The conjugation and the grid are built the first time they are
 read; the grid size is doubled until the basis Gram matrix is the identity to
-GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  tto.build_refined starts from this
-certified grid and refines on nested grids: the N-point nodes are the even nodes
-of the 2N-point rule, so each doubling adds only the N odd ones.
+GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  The grids are nested: the N-point
+nodes are the even nodes of the 2N-point rule, so each doubling tabulates only
+the N odd ones, adds their terms to a running Gram sum and interleaves them
+into the table.  tto.build_refined starts from this certified grid and refines
+on nested grids the same way.
 
-basis_values_at takes one of two paths by the number of points.  Few-point
-calls (kernels, ModelVector.evaluate at a point or a handful, the n boundary
-kernels of a Clark decomposition, rank-one operators) form the whole (n, m)
-table as one cumulative product over the zero axis, which costs a fixed
-handful of numpy calls instead of a Python loop over the n zeros.  Grids
-(the certified quadrature grid, refinement batches, symbol values on them)
-loop over the n rows instead, because numpy's complex cumprod along the zero
-axis of a long table runs as a scalar loop and is slower than n row-wise
-array operations there.
+One tabulation gives the basis and u: the k-th basis function is
+sqrt(1 - |a_k|^2)/(1 - conj(a_k) z) times the running product of the first k
+factors of u, so u is the rotation times the last running product, and the
+grid's u values cost no second pass over the zeros.  The tabulation takes one
+of two paths by the number of points.  Few-point calls (kernels,
+ModelVector.evaluate at a point or a handful, the n boundary kernels of a
+Clark decomposition, rank-one operators) form the whole (n, m) table as one
+cumulative product over the zero axis, which costs a fixed handful of numpy
+calls instead of a Python loop over the n zeros.  Grids (the certified
+quadrature grid, refinement batches, symbol values on them) loop over the n
+rows instead, writing each row in place, because numpy's complex cumprod
+along the zero axis of a long table runs as a scalar loop and is slower than
+n row-wise array operations there.
 """
 
 from __future__ import annotations
@@ -42,8 +48,9 @@ from .errors import NumericalFailure, OutsideClosedDisc, PoleHit, QuadratureErro
 from .tolerances import DISC_MARGIN, GRAM_TOL, GRAM_TOL_FLOOR, POLE_TOL
 
 MAX_QUAD_POINTS = 1 << 18
-# basis_values_at takes the product over the zero axis up to this many points;
-# the row loop measured faster from 512 points at n = 128 and 1500 at n = 8.
+# The tabulation takes the product over the zero axis up to this many points.
+# The row loop measured faster from 512 points at n = 4, 16, 64 and 128, and
+# slower at 256 (at n = 128, 0.74-0.95 against 0.98-1.5 ms; one BLAS thread).
 FEW_POINTS = 256
 
 
@@ -61,6 +68,14 @@ def circle_grid(num_points: int) -> np.ndarray:
     return np.exp(2j * np.pi * j / num_points)
 
 
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The 2N-point table along the last axis whose even and odd columns are given."""
+    out = np.empty(even.shape[:-1] + (2 * even.shape[-1],), dtype=complex)
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
+    return out
+
+
 class ModelSpace:
     """Computational handle for K_u; its conjugation and quadrature grid are built on first use."""
 
@@ -71,20 +86,33 @@ class ModelSpace:
 
     @cached_property
     def _quadrature(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
-        """(quad_points, grid, basis_values, u_values, gram_residual), certified together."""
+        """(quad_points, grid, basis_values, u_values, gram_residual), certified together.
+
+        The grids are nested: each doubling from N to 2N points tabulates the
+        basis and u only at the N new odd nodes, adds their conj(B) B^T to the
+        running Gram sum and interleaves them with the N-point tables.
+        """
         n_pts = default_quad_points(self.dim)
+        grid = circle_grid(n_pts)
+        basis, u_values = self._tabulate(grid)
+        gram = basis.conj() @ basis.T
+        eye = np.eye(self.dim)
         while True:
-            grid = circle_grid(n_pts)
-            basis = self.basis_values_at(grid)
-            gram = basis.conj() @ basis.T / n_pts
-            err = float(np.max(np.abs(gram - np.eye(self.dim))))
+            err = float(np.max(np.abs(gram / n_pts - eye)))
             if err <= GRAM_TOL or n_pts >= MAX_QUAD_POINTS:
                 break
+            # the odd nodes of circle_grid(2 n_pts), bit for bit
+            odd = np.exp(2j * np.pi * (2 * np.arange(n_pts) + 1) / (2 * n_pts))
+            odd_basis, odd_u = self._tabulate(odd)
+            gram += odd_basis.conj() @ odd_basis.T
+            grid = _interleave(grid, odd)
+            basis = _interleave(basis, odd_basis)
+            u_values = _interleave(u_values, odd_u)
             n_pts *= 2
         if err > GRAM_TOL_FLOOR:
             raise QuadratureError(
                 f"Gram residual {err:.3e} above {GRAM_TOL_FLOOR} at N={n_pts}")
-        return n_pts, grid, basis, self.u.evaluate(grid), err
+        return n_pts, grid, basis, u_values, err
 
     quad_points = property(lambda self: self._quadrature[0])
     grid = property(lambda self: self._quadrature[1])
@@ -146,6 +174,10 @@ class ModelSpace:
 
         Up to FEW_POINTS points: one product over the zero axis; more: a loop over rows.
         """
+        return self._tabulate(points)[0]
+
+    def _tabulate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(basis_values_at(points), u(points)): u is rotation times the last running product."""
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
         a = self.u._zero_arr
         # hypot is the scalar |a|; np.abs on an array can differ from it by an
@@ -157,17 +189,26 @@ class ModelSpace:
             if np.any(np.abs(den) < POLE_TOL):
                 raise PoleHit("basis evaluation at a reflected zero")
             out = w[:, None] / den
-            out[1:] *= np.cumprod((pts - a[:-1]) / den[:-1], axis=0)
-            return out
+            running = np.cumprod((pts - a) / den, axis=0)
+            out[1:] *= running[:-1]
+            return out, self.u.rotation * running[-1]
         out = np.empty((self.dim, pts.size), dtype=complex)
         running = np.ones(pts.size, dtype=complex)
+        den, factor = np.empty_like(running), np.empty_like(running)
+        # |1 - conj(a) z| >= 1 - |a| |z|, so no row can hit a pole unless this holds
+        near_pole = np.max(np.abs(a)) * np.max(np.abs(pts)) >= 1.0 - POLE_TOL
         for k in range(self.dim):
-            den = 1.0 - np.conj(a[k]) * pts
-            if np.any(np.abs(den) < POLE_TOL):
+            np.multiply(np.conj(a[k]), pts, out=den)
+            np.subtract(1.0, den, out=den)
+            if near_pole and np.any(np.abs(den) < POLE_TOL):
                 raise PoleHit("basis evaluation at a reflected zero")
-            out[k] = w[k] / den * running
-            running = running * (pts - a[k]) / den
-        return out
+            # out[k] = w[k] / den * running; running = running * (pts - a[k]) / den
+            np.divide(w[k], den, out=out[k])
+            out[k] *= running
+            np.subtract(pts, a[k], out=factor)
+            running *= factor
+            running /= den
+        return out, self.u.rotation * running
 
     def vector(self, coords) -> "ModelVector":
         return ModelVector(np.asarray(coords, dtype=complex), self)

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ttolab import (BlaschkeProduct, ModelSpace, PoleOnCircle, RationalPair, RationalTerm,
-                    SpaceMismatch, sample_blaschke)
+from ttolab import (BlaschkeProduct, ModelSpace, PoleHit, PoleOnCircle, RationalPair,
+                    RationalTerm, SpaceMismatch, sample_blaschke)
 from ttolab.model_space import same_space
-from ttolab.tolerances import DISC_MARGIN, ON_CIRCLE_TOL
+from ttolab.tolerances import DISC_MARGIN, ON_CIRCLE_TOL, POLE_TOL
 
 # The hard zero families of the benchmark's hard-spaces workload (repeated,
 # clustered, near-circle, degree 64 and 128), plus a generic degree-16 space.
@@ -60,7 +60,12 @@ def symbol_values(symbol, space, points, u_values) -> np.ndarray:
         roots = term.pair.denominator_roots()
         if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < ON_CIRCLE_TOL:
             raise PoleOnCircle("rational symbol term has a pole on the unit circle")
-        tv = term.pair.evaluate(points)
+        num = npoly.polyval(points, np.asarray(term.pair.numerator))
+        den = npoly.polyval(points, np.asarray(term.pair.denominator))
+        scale = max(np.max(np.abs(np.asarray(term.pair.denominator))), 1.0)
+        if np.any(np.abs(den) < POLE_TOL * scale):
+            raise PoleHit("rational evaluation at a pole")
+        tv = num / den
         if term.clark_alpha is not None:
             alpha = complex(term.clark_alpha)
             if abs(alpha) >= 1.0 - DISC_MARGIN:

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from conftest import STRESS_FAMILIES
 from ttolab import BlaschkeProduct, PoleHit, RationalPair
 
 
@@ -204,3 +206,34 @@ def test_derivative_matches_leave_one_out_loop(stress_family, stress_spaces):
     assert np.all(np.abs(got - ref) <= 1e-14 * scale)
     if len(set(u.zeros)) < u.degree:  # u' vanishes exactly at a repeated zero
         assert np.all(got[-u.degree:] == 0.0)
+
+
+def _count_phase_tables(monkeypatch) -> list:
+    """Record each build of BlaschkeProduct._phase_table from here on."""
+    original = BlaschkeProduct.__dict__["_phase_table"].func
+    built = []
+
+    def counted(self):
+        built.append(self)
+        return original(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(BlaschkeProduct, "_phase_table")
+    monkeypatch.setattr(BlaschkeProduct, "_phase_table", prop)
+    return built
+
+
+@pytest.mark.parametrize("family", ["random 128", "near circle 0.995 x8"])
+@pytest.mark.parametrize("alpha", [np.exp(0.7j), 0.3 + 0.2j], ids=["unimodular", "interior"])
+def test_phase_table_is_built_once_per_product(monkeypatch, family, alpha):
+    built = _count_phase_tables(monkeypatch)
+    u = BlaschkeProduct(STRESS_FAMILIES[family].zeros)
+    first = u.solve_equals(alpha)
+    assert len(built) == 1
+    assert np.array_equal(u.solve_equals(alpha), first)
+    assert len(built) == 1
+    phase, nodes, table, slope = u._phase_table
+    assert not any(arr.flags.writeable for arr in (nodes, table, slope))
+    # the cached table gives the roots of a product that builds its own
+    assert np.array_equal(BlaschkeProduct(u.zeros).solve_equals(alpha), first)
+    assert len(built) == 2

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import STRESS_FAMILIES
 from ttolab import model_space
 from ttolab import (
     BlaschkeProduct,
@@ -204,12 +207,17 @@ def test_few_point_basis_matches_row_loop(stress_family, stress_spaces, monkeypa
     assert sp.dim <= model_space.FEW_POINTS
     for count in (1, 2, sp.dim, model_space.FEW_POINTS):
         pts = _mixed_points(count)
-        few = sp.basis_values_at(pts)
+        few, few_u = sp._tabulate(pts)
         with monkeypatch.context() as patched:
             patched.setattr(model_space, "FEW_POINTS", 0)
-            rows = sp.basis_values_at(pts)
+            rows, rows_u = sp._tabulate(pts)
         assert few.shape == rows.shape == (sp.dim, count)
         assert np.all(np.abs(few - rows) <= 1e-14 * np.abs(rows))
+        assert np.array_equal(few, sp.basis_values_at(pts))
+        # u from the last running product, by either path
+        expected = sp.u.evaluate(pts)
+        assert np.max(np.abs(few_u - expected)) <= 1e-14
+        assert np.max(np.abs(rows_u - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("few_points", [model_space.FEW_POINTS, 0])
@@ -219,3 +227,50 @@ def test_both_basis_paths_raise_at_reflected_zero(stress_spaces, monkeypatch, fe
     pole = 1.0 / np.conj(sp.u.zeros[5])
     with pytest.raises(PoleHit):
         sp.basis_values_at(np.array([0.3, pole, -0.2j]))
+
+
+def test_row_loop_raises_at_reflected_zero_in_a_large_batch(stress_spaces):
+    sp = stress_spaces["random 16"]
+    pts = 0.5 * circle_grid(model_space.FEW_POINTS + 1)
+    pts[7] = 1.0 / np.conj(sp.u.zeros[5])
+    with pytest.raises(PoleHit):
+        sp.basis_values_at(pts)
+
+
+# Grid sizes certified by full tabulation at each size, before the grids were
+# nested; the last three double to 8192 and 16384 points.
+NESTED_GRID_POINTS = {
+    "repeated 0.9 x8": 512, "repeated 0.5 x16": 512, "cluster of 12": 256,
+    "near circle 0.995 x8": 8192, "random 64": 2048, "random 128": 4096, "random 16": 512,
+    "repeated 0.99 x16": 8192, "repeated 0.995 x16": 16384, "repeated 0.99 x32": 16384,
+}
+NESTED_FAMILIES = {**STRESS_FAMILIES, "repeated 0.99 x16": BlaschkeProduct((0.99,) * 16),
+                   "repeated 0.995 x16": BlaschkeProduct((0.995,) * 16),
+                   "repeated 0.99 x32": BlaschkeProduct((0.99,) * 32)}
+
+
+@pytest.mark.parametrize("family", list(NESTED_GRID_POINTS))
+def test_nested_grid_matches_full_tabulation(family):
+    sp = ModelSpace(NESTED_FAMILIES[family])
+    assert sp.quad_points == NESTED_GRID_POINTS[family]
+    grid = circle_grid(sp.quad_points)
+    assert np.array_equal(sp.grid, grid)
+    full = sp.basis_values_at(grid)
+    assert np.all(np.abs(sp.basis_values - full) <= 1e-14 * np.abs(full))
+    assert np.max(np.abs(sp.u_values - sp.u.evaluate(grid))) <= 1e-14
+    # the running Gram sum against one recomputed from the returned table
+    gram = sp.basis_values.conj() @ sp.basis_values.T / sp.quad_points
+    assert abs(sp.gram_residual - np.max(np.abs(gram - np.eye(sp.dim)))) <= 1e-15
+
+
+def test_nested_grid_memory_peak():
+    # the last doubling holds the N-point table, the N new columns and the
+    # 2N-point table; full tabulation with u.evaluate peaked at 24.5 MiB here
+    sp = ModelSpace(BlaschkeProduct((0.99,) * 32))
+    tracemalloc.start()
+    try:
+        assert sp.quad_points == 16384
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
