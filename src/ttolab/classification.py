@@ -36,10 +36,10 @@ from .tto import (
     outer,
     spectral_norm,
     _frobenius_bracket,
+    _k0_typed_symbol,
     _membership,
     _project_off_k0,
     _shift_conjugate,
-    _typed_symbol,
 )
 
 
@@ -293,18 +293,12 @@ def commutant_check(space: ModelSpace, operator, alpha) -> bool:
 
 
 def commutant_symbol(space: ModelSpace, operator, alpha) -> SymbolExpr:
-    """Symbol of an operator in the commutant of S_alpha.
-
-    For A commuting with S_alpha the symbol is phi + alpha conj(S C phi) with
-    phi = A K_0 / (1 - alpha conj(u(0))).
-    """
+    """Symbol of an operator A in the commutant of S_alpha, the type-alpha one of A K_0."""
     a = as_matrix(space, operator)
     alpha = complex(alpha)
     if not abs(alpha) <= 1.0 + DISC_MARGIN:
         raise ValueError("commutant_symbol requires |alpha| <= 1")
-    u0 = space.u.value_at_zero
-    phi = space.vector(a @ space.k0.coords / (1.0 - alpha * np.conj(u0)))
-    return _typed_symbol(space, phi, alpha)
+    return _k0_typed_symbol(space, a @ space.k0.coords, alpha)
 
 
 # -- rank one -----------------------------------------------------------------
@@ -375,12 +369,12 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
     """Verify that the inverse is a truncated Toeplitz operator iff the input is typed.
 
     When both are typed the tags must agree.  Raises SingularMatrix when the
-    smallest singular value is below VERDICT_TOL times the norm, NotATTO when the
-    input fails membership, NumericalFailure when an entry is not finite.  The
-    inverse is formed first: ||A||_F ||A^{-1}||_F bounds cond_2(A) above, so
-    below 1/VERDICT_TOL, less BRACKET_SLACK, it accepts A with no SVD; otherwise,
-    and when inv fails or its norm is out of the bracket's range, the singular
-    values decide.
+    smallest singular value is below VERDICT_TOL times the norm or when inv
+    fails, NotATTO when the input fails membership, NumericalFailure when an
+    entry is not finite.  The inverse is formed first: ||A||_F ||A^{-1}||_F
+    bounds cond_2(A) above, so below 1/VERDICT_TOL, less BRACKET_SLACK, it
+    accepts A with no SVD; otherwise, and when inv fails or its norm is out of
+    the bracket's range, the singular values decide.
     """
     a = as_matrix(space, operator)
     try:
@@ -393,9 +387,11 @@ def inverse_type_check(space: ModelSpace, operator) -> InverseTypeReport:
         svals = np.linalg.svd(a, compute_uv=False)
         if svals[-1] <= VERDICT_TOL * svals[0]:
             raise SingularMatrix(f"condition {svals[0] / max(svals[-1], 1e-300):.3e}")
+    if inv is None:
+        raise SingularMatrix("matrix inverse failed")
     tag = _type_tag(space, _membership(space, a,
                                        "inverse_type_check input fails the membership test"))
-    membership = is_tto(space, np.linalg.inv(a) if inv is None else inv)
+    membership = is_tto(space, inv)
     if membership.passed:
         inv_tag = _type_tag(space, membership)
         consistent = tag.is_typed and tag.compatible_with(inv_tag)

@@ -66,6 +66,7 @@ from .tto import (
     generalized_shift,
     spectral_norm,
     _horner_k0,
+    _k0_typed_symbol,
     _membership,
     _norm_at_most,
     _typed_symbol,
@@ -197,11 +198,10 @@ def build_clark_fraction_tto(space: ModelSpace, phi, alpha) -> TTOMatrix:
     alpha = complex(alpha)
     if not abs(alpha) < 1.0 - DISC_MARGIN:
         raise AlphaOnCircle("fraction symbols need |alpha| < 1")
-    if not isinstance(phi, ModelVector):
-        s_alpha = generalized_shift(space, alpha).mat
-        chi = _horner_k0(s_alpha, space.k0.coords, _poly_coeffs(phi))
-        phi = space.vector(chi / (1.0 - alpha * np.conj(space.u.value_at_zero)))
-    return build_tto(space, _typed_symbol(space, phi, alpha))
+    if isinstance(phi, ModelVector):
+        return build_tto(space, _typed_symbol(space, phi, alpha))
+    chi = _horner_k0(generalized_shift(space, alpha).mat, space.k0.coords, _poly_coeffs(phi))
+    return build_tto(space, _k0_typed_symbol(space, chi, alpha))
 
 
 def reduce_mod_level_set(transform: CrofootTransform, phi) -> ModelVector:

@@ -18,8 +18,8 @@ read; the grid size is doubled until the basis Gram matrix is the identity to
 GRAM_TOL (GRAM_TOL_FLOOR is a hard floor).  The grids are nested: the N-point
 nodes are the even nodes of the 2N-point rule, so each doubling tabulates only
 the N odd ones, adds their terms to a running Gram sum and interleaves them
-into the table.  tto.build_refined starts from this certified grid and refines
-on nested grids the same way.
+into the table.  tto.build_refined reads this certified grid and refines on
+nested grids the same way, tabulating each new node once, block by block.
 
 One tabulation gives the basis and u: the k-th basis function is
 sqrt(1 - |a_k|^2)/(1 - conj(a_k) z) times the running product of the first k
@@ -30,7 +30,7 @@ ModelVector.evaluate at a point or a handful, the n boundary kernels of a
 Clark decomposition, rank-one operators) form the whole (n, m) table as one
 cumulative product over the zero axis, which costs a fixed handful of numpy
 calls instead of a Python loop over the n zeros.  Grids (the certified
-quadrature grid, refinement batches, symbol values on them) loop over the n
+quadrature grid, refinement blocks, symbol values on them) loop over the n
 rows instead, writing each row in place, because numpy's complex cumprod
 along the zero axis of a long table runs as a scalar loop and is slower than
 n row-wise array operations there.
@@ -68,6 +68,11 @@ def circle_grid(num_points: int) -> np.ndarray:
     return np.exp(2j * np.pi * j / num_points)
 
 
+def odd_nodes(num_points: int) -> np.ndarray:
+    """The odd nodes of circle_grid(2 num_points), bit for bit: those that double the grid."""
+    return np.exp(2j * np.pi * (2 * np.arange(num_points) + 1) / (2 * num_points))
+
+
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """The 2N-point table along the last axis whose even and odd columns are given."""
     out = np.empty(even.shape[:-1] + (2 * even.shape[-1],), dtype=complex)
@@ -101,8 +106,7 @@ class ModelSpace:
             err = float(np.max(np.abs(gram / n_pts - eye)))
             if err <= GRAM_TOL or n_pts >= MAX_QUAD_POINTS:
                 break
-            # the odd nodes of circle_grid(2 n_pts), bit for bit
-            odd = np.exp(2j * np.pi * (2 * np.arange(n_pts) + 1) / (2 * n_pts))
+            odd = odd_nodes(n_pts)
             odd_basis, odd_u = self._tabulate(odd)
             gram += odd_basis.conj() @ odd_basis.T
             grid = _interleave(grid, odd)

@@ -27,7 +27,7 @@ import numpy.polynomial.polynomial as npoly
 from .blaschke import RationalPair, complex_pair
 from .errors import (NotATTO, NumericalFailure, PoleOnCircle, QuadratureError, SchemaError,
                      SpaceMismatch)
-from .model_space import MAX_QUAD_POINTS, ModelSpace, ModelVector, same_space
+from .model_space import MAX_QUAD_POINTS, ModelSpace, ModelVector, odd_nodes, same_space
 from .tolerances import DISC_MARGIN, ON_CIRCLE_TOL, VERDICT_TOL
 
 
@@ -304,37 +304,24 @@ def _rational_parts(space: ModelSpace, term: RationalTerm) -> tuple[ModelVector,
         psi = np.linalg.solve(eye - np.conj(r) * s, psi)
     if alpha is None:
         return space.vector(phi), space.vector(psi)
-    chi = space.vector(phi / (1.0 - alpha * np.conj(space.u.value_at_zero)))
-    return chi, space.vector(psi) + np.conj(alpha) * _shift_conjugate(space, chi)
+    typed = _k0_typed_symbol(space, phi, alpha)
+    return typed.analytic, space.vector(psi) + typed.coanalytic
 
 
 # -- construction -------------------------------------------------------------
 
 
-# build_refined evaluates u, tabulates the basis and sums over blocks of this
-# many nodes, so a batch never holds its whole (n, N) table and the copies made
-# from it: at degree 128 one such table of 32768 nodes is 67 MB.
+# build_refined reads, evaluates and sums blocks of this many nodes, so no step holds
+# a whole level's (n, N) table: at degree 128 one of 32768 nodes is 67 MB.
 REFINE_BLOCK = 4096
 
 
-def _blocks(size: int) -> list[slice]:
-    return [slice(start, start + REFINE_BLOCK) for start in range(0, size, REFINE_BLOCK)]
-
-
-def _grid_sum(space: ModelSpace, points, u_values, values_fn, basis=None) -> np.ndarray:
-    """Unnormalised sum_j conj(e(z_j)) Phi(z_j) e(z_j)^T over one batch of nodes.
-
-    values_fn sees the whole batch; the basis is tabulated (or read from
-    ``basis``, the table at ``points``) and summed block by block.
-    """
+def _grid_sum(points, basis, u_values, values_fn) -> np.ndarray:
+    """Unnormalised sum_j conj(e(z_j)) Phi(z_j) e(z_j)^T over one block of nodes."""
     vals = np.asarray(values_fn(points, u_values), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("symbol values are not finite on a refinement grid")
-    acc = 0
-    for block in _blocks(points.size):
-        e = space.basis_values_at(points[block]) if basis is None else basis[:, block]
-        acc = acc + e.conj() @ (vals[block] * e).T
-    return acc
+    return basis.conj() @ (vals * basis).T
 
 
 def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
@@ -345,23 +332,26 @@ def build_refined(space: ModelSpace, values_fn) -> TTOMatrix:
     space's own grid is tuned to integrate basis products, which is not enough
     for symbols whose poles approach the circle (fraction symbols whose level set
     sits near the boundary); the stopping rule measures that error.  The grids
-    are nested: the first level reads the space's certified grid, basis table
-    and u values, and each doubling from N to 2N points tabulates values_fn,
-    the basis and u only at the N new odd nodes exp(2 pi i (2j+1) / 2N),
-    adding their sum to the running unnormalised sum.  values_fn is called once
-    per level with the whole batch; u, the basis and the sum are taken over
-    blocks of REFINE_BLOCK nodes, which bounds the memory of a batch.
+    are nested and each node is read once, in blocks of REFINE_BLOCK nodes: the
+    first level takes views of the space's certified grid, basis and u tables;
+    each doubling from N to 2N points takes the N odd nodes, whose basis and u
+    come from one tabulation per block.  values_fn is called once per block.
     """
     num = space.quad_points
-    acc = _grid_sum(space, space.grid, space.u_values, values_fn, space.basis_values)
+    acc = 0
+    for start in range(0, num, REFINE_BLOCK):
+        view = slice(start, start + REFINE_BLOCK)
+        acc = acc + _grid_sum(space.grid[view], space.basis_values[:, view],
+                              space.u_values[view], values_fn)
     mat = acc / num
     while True:
         if num >= MAX_QUAD_POINTS:
             raise QuadratureError(
                 f"symbol compression still moving at {MAX_QUAD_POINTS} points")
-        pts = np.exp(2j * np.pi * (2 * np.arange(num) + 1) / (2 * num))
-        u_values = np.concatenate([space.u.evaluate(pts[block]) for block in _blocks(num)])
-        acc = acc + _grid_sum(space, pts, u_values, values_fn)
+        new = odd_nodes(num)
+        for start in range(0, num, REFINE_BLOCK):
+            pts = new[start:start + REFINE_BLOCK]
+            acc = acc + _grid_sum(pts, *space._tabulate(pts), values_fn)
         num *= 2
         prev, mat = mat, acc / num
         settled, _ = _norm_at_most(mat - prev, (mat,), 1e-12, floor=1.0)
@@ -440,6 +430,12 @@ def _shift_conjugate(space: ModelSpace, f: ModelVector) -> ModelVector:
 def _typed_symbol(space: ModelSpace, phi: ModelVector, alpha, constant=0j) -> SymbolExpr:
     """The type-alpha symbol phi + alpha conj(S C phi) + constant."""
     return SymbolExpr(phi, np.conj(complex(alpha)) * _shift_conjugate(space, phi), constant)
+
+
+def _k0_typed_symbol(space: ModelSpace, image: np.ndarray, alpha) -> SymbolExpr:
+    """The type-alpha symbol phi + alpha conj(S C phi) of the A in B^alpha with A K_0 = image."""
+    phi = space.vector(image / (1.0 - alpha * np.conj(space.u.value_at_zero)))
+    return _typed_symbol(space, phi, alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -367,6 +367,17 @@ def test_inverse_rejects_singular(z3):
         inverse_type_check(z3, compressed_shift(z3))
 
 
+def test_inverse_failure_is_singular(z2, monkeypatch):
+    # the condition gate accepts this typed operator; an inv that raises on it
+    # used to be called again, and numpy's LinAlgError escaped
+    def fail(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", fail)
+    with pytest.raises(SingularMatrix, match="inverse failed"):
+        inverse_type_check(z2, generalized_shift(z2, 0.3))
+
+
 def _outcome(call):
     """What a call returns, or the type and message of what it raises."""
     try:
@@ -456,18 +467,23 @@ def test_product_residual_is_the_frobenius_bracket_of_membership(triple_space):
 
 
 def test_algebra_containment_subalgebra(z3):
-    s = compressed_shift(z3)
-    ops = [np.eye(3, dtype=complex), s.mat, (s @ s).mat, s.mat + 2 * np.eye(3)]
-    report = algebra_containment(z3, ops)
+    s, eye = compressed_shift(z3).mat, np.eye(3, dtype=complex)
+    report = algebra_containment(z3, [eye, s, s @ s, s + 2 * eye])
     assert report.kind == "subalgebra"
     assert abs(report.alpha.value) < 1e-10
+    # a family of scalars is the scalar algebra, which has no type
+    report = algebra_containment(z3, [eye, (2.0 - 1j) * eye, 0 * eye])
+    assert report.kind == "scalar_algebra" and report.alpha is None
 
 
 def test_algebra_containment_violation(z3):
-    s = compressed_shift(z3)
-    report = algebra_containment(z3, [s.mat, s.mat.conj().T])
-    assert report.kind == "not_algebra_candidate"
-    assert report.violation is not None
+    s, eye = compressed_shift(z3).mat, np.eye(3, dtype=complex)
+    for ops, violation in [
+            ([s, s.conj().T], "element 1 has incompatible type infinity"),
+            ([eye, sample_notype_tto(z3, rng_from(55)).mat, s], "element 1 has no type")]:
+        report = algebra_containment(z3, ops)
+        assert report.kind == "not_algebra_candidate"
+        assert report.violation == violation
 
 
 def test_dimension_one_everything_is_scalar():

@@ -91,10 +91,35 @@ def test_exit_one_when_verification_fails(tmp_path, capsys):
 
 
 def test_text_mode(tmp_path, capsys):
-    problem = {"u": Z2, "tasks": [{"kind": "clark", "alpha": [1.0, 0.0]}]}
-    code, out, _ = run(capsys, ["--input", write_problem(tmp_path, problem), "--text"])
+    matrix = {"matrix": [[[0, 0], [2, 0]], [[1, 0], [0, 0]]]}
+    problem = {"u": Z2, "tasks": [{"kind": "classify", "operator": matrix},
+                                  {"kind": "is_tto", "operator": matrix},
+                                  {"kind": "clark", "alpha": [1.0, 0.0]},
+                                  {"kind": "verify_all"}]}
+    argv = ["--input", write_problem(tmp_path, problem), "--trials", "4"]
+    code, out, _ = run(capsys, [*argv, "--text"])
     assert code == 0
-    assert "clark:" in out and "overall: pass" in out
+    lines = out.splitlines()
+    assert lines[0].startswith("u: zeros=") and lines[-1] == "overall: pass"
+    for start in ("classify: type=alpha value=", "is_tto: passed=True residual=",
+                  "clark: alpha=", "  points: ", "  weights: ",
+                  "verify_all: passed=True seed=0 trials=4", "  [pass] "):
+        assert any(line.startswith(start) for line in lines), start
+    assert "[FAIL]" not in out
+    # every failing check prints its note on the line after its FAIL line
+    code, out, _ = run(capsys, [*argv, "--tol-scale", "1e-20"])
+    assert code == 1
+    failed = [c for c in json.loads(out)["results"][3]["result"]["checks"] if not c["passed"]]
+    code, out, _ = run(capsys, [*argv, "--tol-scale", "1e-20", "--text"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "verify_all: passed=False seed=0 trials=4" in lines
+    assert lines[-1] == "overall: FAIL"
+    marks = [k for k, line in enumerate(lines) if line.startswith("  [FAIL] ")]
+    assert len(marks) == len(failed) > 0
+    for k, check in zip(marks, failed):
+        assert lines[k].split()[1] == check["name"] and check["note"]
+        assert lines[k + 1] == f"         {check['note']}"
 
 
 def test_output_file_written(tmp_path, capsys):

@@ -12,6 +12,7 @@ from ttolab import (
     ModelSpace,
     NumericalFailure,
     OutsideClosedDisc,
+    QuadratureError,
     SpaceMismatch,
     SymbolExpr,
     build_clark_fraction_tto,
@@ -227,6 +228,25 @@ def test_crofoot_intertwining_polynomial_symbols(triple_space):
     for coeffs in ([0.0, 1.0], [1.0, -0.5, 2.0], [0.3j, 0.0, 1.0, -1.0]):
         report = crofoot_intertwine_check(t, np.array(coeffs, dtype=complex))
         assert report.max_residual < 1e-8
+
+
+def test_intertwine_report_keeps_a_failed_conjugate_quadrature(triple_space, monkeypatch):
+    # only the conjugate side refines a quadrature; its failure is recorded, and
+    # the analytic residual and the norm gap read as they do without it
+    message = "symbol compression still moving at 262144 points"
+
+    def refuse(space, values_fn):
+        raise QuadratureError(message)
+
+    t = crofoot(triple_space, 0.2 + 0.1j)
+    coeffs = np.array([1.0, -0.5, 2.0], dtype=complex)
+    full = crofoot_intertwine_check(t, coeffs)
+    monkeypatch.setattr(crofoot_clark, "build_refined", refuse)
+    report = crofoot_intertwine_check(t, coeffs)
+    assert report.conjugate_error == message and not full.conjugate_error
+    assert report.residual_conjugate == np.inf and report.max_residual == np.inf
+    assert np.isfinite(report.norm_gap) and report.norm_gap == full.norm_gap
+    assert report.residual_analytic == full.residual_analytic
 
 
 def test_fraction_phi_one_is_identity(z2, triple_space):

@@ -519,29 +519,61 @@ def test_nested_refinement_matches_full_grids(stress_family, stress_spaces, symb
     assert sum(len(pts) for pts, _ in batches) == final
 
 
-@pytest.mark.parametrize("family", ["repeated 0.9 x8", "random 16"])
-def test_nested_refinement_tabulates_only_new_nodes(stress_spaces, family):
-    sp = stress_spaces[family]
-    fn, batches = _recording(_refinement_symbols(sp)["phi/(1 - alpha conj u)"])
-    build_refined(sp, fn)
-    assert batches[0][0] is sp.grid and batches[0][1] is sp.u_values
-    sizes = [len(pts) for pts, _ in batches]
-    assert len(sizes) > 2
-    assert all(size == sum(sizes[:k]) for k, size in enumerate(sizes) if k)
-    total = sum(sizes)
-    # every node of the final grid appears in exactly one batch
-    pts = np.concatenate([pts for pts, _ in batches])
+def _grid_index(pts, total):
+    """Indices of points of circle_grid(total), checked to be its nodes."""
     index = np.rint(np.angle(pts) * total / (2 * np.pi)).astype(int) % total
     assert np.max(np.abs(pts - np.exp(2j * np.pi * index / total))) < 1e-12
+    return index
+
+
+@pytest.mark.parametrize("family", ["repeated 0.9 x8", "random 16"])
+def test_nested_refinement_tabulates_only_new_nodes(monkeypatch, stress_spaces, family):
+    sp = stress_spaces[family]
+    level0 = sp.quad_points
+    # blocks smaller than the certified grid, so every level is cut into several
+    monkeypatch.setattr(tto, "REFINE_BLOCK", 256)
+    tabulate, tabulated = ModelSpace._tabulate, []
+
+    def recording(self, points):
+        table = tabulate(self, points)
+        tabulated.append((points, *table))
+        return table
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_refined evaluated u apart from the basis")
+
+    monkeypatch.setattr(ModelSpace, "_tabulate", recording)
+    monkeypatch.setattr(BlaschkeProduct, "evaluate", refuse)
+    # this symbol reads only the nodes and u, so every tabulation is build_refined's
+    fn, batches = _recording(_refinement_symbols(sp)["conj p/(1 - conj(alpha) u)"])
+    build_refined(sp, fn)
+    sizes = [len(pts) for pts, _ in batches]
+    assert max(sizes) == 256
+    first = level0 // 256
+    assert sum(sizes[:first]) == level0 and len(sizes) - first == len(tabulated)
+    # the first level reads the certified tables through views, block by block
+    for k, (pts, uv) in enumerate(batches[:first]):
+        view = slice(256 * k, 256 * (k + 1))
+        assert pts.base is sp.grid and np.array_equal(pts, sp.grid[view])
+        assert uv.base is sp.u_values and np.array_equal(uv, sp.u_values[view])
+    # every later block is one tabulation, whose u values_fn receives
+    for (pts, uv), (tab_pts, _, tab_u) in zip(batches[first:], tabulated):
+        assert pts is tab_pts and np.array_equal(uv, tab_u)
+    total = sum(sizes)
+    assert total > 4 * level0
+    # every node of the final grid is read once, and only the new ones are tabulated
+    index = _grid_index(np.concatenate([pts for pts, _ in batches]), total)
     assert np.array_equal(np.sort(index), np.arange(total))
-    for batch, uv in batches[1:]:
-        assert np.array_equal(uv, sp.u.evaluate(batch))
+    new = _grid_index(np.concatenate([pts for pts, _, _ in tabulated]), total)
+    assert new.size == total - level0
+    assert np.array_equal(np.sort(new), np.setdiff1d(np.arange(total),
+                                                     np.arange(0, total, total // level0)))
 
 
 def test_build_refined_memory_is_bounded_by_blocks(stress_spaces):
-    # refines to 65536 points; its last batch of 32768 nodes held about 195 MiB
-    # of numpy memory when the whole (n, N) table, its conjugate and
-    # vals * basis were built at once
+    # refines to 65536 points: at degree 128 one (n, N) table of its last level,
+    # 32768 nodes, is 64 MiB, whether build_refined tabulates it or values_fn
+    # (here phi evaluated on the nodes) does
     sp = stress_spaces["random 128"]
     fn, batches = _recording(_refinement_symbols(sp)["phi/(1 - alpha conj u)"])
     sp.quad_points  # the space's own certified table is not the batch's
@@ -551,8 +583,9 @@ def test_build_refined_memory_is_bounded_by_blocks(stress_spaces):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(len(pts) for pts, _ in batches) == 32768
-    assert peak <= 195 * 2**20 / 2
+    assert sum(len(pts) for pts, _ in batches) == 65536
+    assert max(len(pts) for pts, _ in batches) == tto.REFINE_BLOCK
+    assert peak <= 40 * 2**20
 
 
 def test_build_refined_gives_up_at_max_points(z2):

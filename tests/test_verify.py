@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ttolab import (BlaschkeProduct, KernelShiftReport, ModelSpace, classification,
-                    crofoot_clark, sample_blaschke, verify, verify_space)
+from ttolab import (BlaschkeProduct, KernelShiftReport, ModelSpace, QuadratureError,
+                    classification, crofoot_clark, sample_blaschke, verify, verify_space)
 from ttolab.cli import canonical_json
 from ttolab.verify import _Verifier
 
@@ -94,6 +94,21 @@ def test_norm_equality_reads_without_the_conjugate_quadrature():
     assert check["norm_equality"].trials == 6
     assert not check["crofoot_intertwining"].passed
     assert "still moving at 262144 points" in check["crofoot_intertwining"].note
+
+
+def test_failed_conjugate_quadrature_fails_only_crofoot_intertwining(triple_space,
+                                                                   monkeypatch):
+    message = "symbol compression still moving at 262144 points"
+
+    def refuse(space, values_fn):
+        raise QuadratureError(message)
+
+    monkeypatch.setattr(crofoot_clark, "build_refined", refuse)
+    report = verify_space(triple_space, seed=3, trials=5)
+    check = {c.name: c for c in report.checks}
+    assert [c.name for c in report.failures] == ["crofoot_intertwining"]
+    assert check["crofoot_intertwining"].note == f"error: {message}"
+    assert check["norm_equality"].passed and check["norm_equality"].trials == 6
 
 
 def test_clark_decompositions_built_once_per_run(triple_space, monkeypatch):
